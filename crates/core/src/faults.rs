@@ -27,6 +27,7 @@ use crate::seed::Seed;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Injection site: each task attempt inside `par_map_indexed`.
@@ -169,14 +170,25 @@ pub struct FaultEvent {
 #[derive(Clone)]
 pub struct FaultInjector {
     plan: Arc<FaultPlan>,
+    /// The plan's rules grouped by site, each site's in plan order, so
+    /// a roll reads only the rules of its own site.
+    sites: Arc<HashMap<String, Vec<(FaultTrigger, FaultKind)>>>,
     log: Arc<Mutex<Vec<FaultEvent>>>,
 }
 
 impl FaultInjector {
-    /// Builds an injector for `plan`.
+    /// Builds an injector for `plan`, grouping its rules by site once.
     pub fn new(plan: FaultPlan) -> FaultInjector {
+        let mut sites: HashMap<String, Vec<(FaultTrigger, FaultKind)>> = HashMap::new();
+        for rule in &plan.rules {
+            sites
+                .entry(rule.site.clone())
+                .or_default()
+                .push((rule.trigger, rule.kind));
+        }
         FaultInjector {
             plan: Arc::new(plan),
+            sites: Arc::new(sites),
             log: Arc::new(Mutex::new(Vec::new())),
         }
     }
@@ -186,34 +198,14 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Decides whether a fault fires at `(site, index, attempt)`.
+    /// Decides whether a fault fires at `(site, index, attempt)`: the
+    /// first of the site's rules, in plan order, whose trigger fires.
     ///
     /// Pure in the plan: the same coordinates always give the same
     /// answer. Fired faults are appended to the shared event log.
     pub fn roll(&self, site: &str, index: u64, attempt: u64) -> Option<FaultKind> {
-        let fired = self.plan.rules.iter().find_map(|rule| {
-            if rule.site != site {
-                return None;
-            }
-            let hit = match rule.trigger {
-                FaultTrigger::AtIndex(at) => attempt == 0 && index == at,
-                FaultTrigger::Probability(p) => {
-                    if p <= 0.0 {
-                        false
-                    } else if p >= 1.0 {
-                        true
-                    } else {
-                        let mut rng = Seed::new(self.plan.seed)
-                            .child(site)
-                            .child_indexed("index", index)
-                            .child_indexed("attempt", attempt)
-                            .rng();
-                        let draw = rng.gen::<u64>() as f64 / u64::MAX as f64;
-                        draw < p
-                    }
-                }
-            };
-            hit.then_some(rule.kind)
+        let fired = self.sites.get(site)?.iter().find_map(|&(trigger, kind)| {
+            fires(self.plan.seed, trigger, site, index, attempt).then_some(kind)
         })?;
         let mut log = match self.log.lock() {
             Ok(guard) => guard,
@@ -241,6 +233,29 @@ impl FaultInjector {
             (a.site.as_str(), a.index, a.attempt).cmp(&(b.site.as_str(), b.index, b.attempt))
         });
         events
+    }
+}
+
+/// Whether `trigger` fires at `(site, index, attempt)` under a plan
+/// seeded with `seed`.
+fn fires(seed: u64, trigger: FaultTrigger, site: &str, index: u64, attempt: u64) -> bool {
+    match trigger {
+        FaultTrigger::AtIndex(at) => attempt == 0 && index == at,
+        FaultTrigger::Probability(p) => {
+            if p <= 0.0 {
+                false
+            } else if p >= 1.0 {
+                true
+            } else {
+                let mut rng = Seed::new(seed)
+                    .child(site)
+                    .child_indexed("index", index)
+                    .child_indexed("attempt", attempt)
+                    .rng();
+                let draw = rng.gen::<u64>() as f64 / u64::MAX as f64;
+                draw < p
+            }
+        }
     }
 }
 
@@ -291,6 +306,7 @@ pub fn roll(site: &str, index: u64, attempt: u64) -> Option<FaultKind> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn no_injector_means_no_faults() {
@@ -443,5 +459,70 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);
+    }
+
+    const SITES: [&str; 4] = [
+        "serve.backing",
+        "serve.handler",
+        "serve.replica.0",
+        "core.par.task",
+    ];
+
+    const KINDS: [FaultKind; 4] = [
+        FaultKind::IoError,
+        FaultKind::WorkerPanic,
+        FaultKind::Delay { virtual_ms: 5 },
+        FaultKind::ReplicaDrift,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Grouping rules by site changes nothing: every roll returns
+        /// the kind a scan of the whole plan in order would, and the
+        /// event log matches that scan's.
+        #[test]
+        fn grouped_lookup_matches_a_linear_scan(
+            seed in 0u64..1_000,
+            rules in proptest::collection::vec(
+                (0usize..4, 0usize..4, any::<bool>(), 0u64..100),
+                0..40,
+            ),
+        ) {
+            let mut plan = FaultPlan::seeded(seed);
+            for &(site, kind, at_index, value) in &rules {
+                let trigger = if at_index {
+                    FaultTrigger::AtIndex(value % 12)
+                } else {
+                    FaultTrigger::Probability(value as f64 / 100.0)
+                };
+                plan = plan.rule(SITES[site], KINDS[kind], trigger);
+            }
+            let injector = FaultInjector::new(plan.clone());
+            let mut expected = Vec::new();
+            for site in SITES.iter().copied().chain(["unplanned"]) {
+                for index in 0..12 {
+                    for attempt in 0..2 {
+                        let scanned = plan.rules.iter().find_map(|rule| {
+                            (rule.site == site
+                                && fires(plan.seed, rule.trigger, site, index, attempt))
+                            .then_some(rule.kind)
+                        });
+                        prop_assert_eq!(injector.roll(site, index, attempt), scanned);
+                        if let Some(kind) = scanned {
+                            expected.push(FaultEvent {
+                                site: site.to_string(),
+                                index,
+                                attempt,
+                                kind,
+                            });
+                        }
+                    }
+                }
+            }
+            expected.sort_by(|a, b| {
+                (a.site.as_str(), a.index, a.attempt).cmp(&(b.site.as_str(), b.index, b.attempt))
+            });
+            prop_assert_eq!(injector.events(), expected);
+        }
     }
 }

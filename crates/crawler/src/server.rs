@@ -116,8 +116,10 @@ impl<'a> MarketplaceServer<'a> {
     }
 
     /// Admission control: returns `Ok(())` or a wire error, updating the
-    /// address's bucket.
-    fn admit(&self, addr: u32, region: Region, now_ms: u64) -> Result<(), WireError> {
+    /// address's bucket. [`MarketplaceServer::handle`] is admission plus
+    /// [`MarketplaceServer::peek`]; a caller that keeps encoded pages of
+    /// its own admits first and then serves from them.
+    pub fn admit(&self, addr: u32, region: Region, now_ms: u64) -> Result<(), WireError> {
         let mut state = self.state.lock();
         let bucket = state.entry(addr).or_insert(Bucket {
             tokens: f64::from(self.policy.burst),
@@ -156,8 +158,7 @@ impl<'a> MarketplaceServer<'a> {
         request: Request,
     ) -> Result<(Bytes, u64), WireError> {
         self.admit(addr, region, now_ms)?;
-        let response = self.serve(request)?;
-        Ok((encode_response(&response), self.policy.latency_ms))
+        Ok((self.peek(request)?, self.policy.latency_ms))
     }
 
     /// Serves one request outside admission control: no token bucket,

@@ -176,12 +176,15 @@ pub fn current_registry() -> Option<Registry> {
 }
 
 /// The names-drift guard: true when recording under `name` may proceed.
+/// A registry runs it on a name's first record only; after that the
+/// name is known (see the [`registry`] module).
 ///
 /// Undeclared names (not in [`names::ALL_METRICS`], not a declared
 /// `cache.*` family member, not `test.*`) panic in debug/test builds so
 /// drift is caught at the call site; in release builds the emission is
 /// dropped and the volatile counter [`names::OBS_UNDECLARED`] is
-/// incremented instead, keeping production snapshots clean.
+/// incremented instead, keeping production snapshots clean. An
+/// undeclared name is never inserted, so every call under it counts.
 fn declared(name: &str, registry: Option<&Registry>) -> bool {
     if names::is_declared_metric(name) {
         return true;
@@ -204,15 +207,11 @@ fn declared(name: &str, registry: Option<&Registry>) -> bool {
 pub fn counter(name: &str, delta: u64) {
     CURRENT.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
-            if (ctx.registry.is_some() || ctx.tracer.is_some())
-                && !declared(name, ctx.registry.as_ref())
-            {
-                return;
-            }
-            if let Some(registry) = &ctx.registry {
-                registry.counter_add(name, delta, false);
-            }
-            if let Some(tracer) = &ctx.tracer {
+            let recorded = match &ctx.registry {
+                Some(registry) => registry.counter_add(name, delta, false),
+                None => ctx.tracer.is_some() && declared(name, None),
+            };
+            if let (true, Some(tracer)) = (recorded, &ctx.tracer) {
                 tracer.counter_sample(&ctx.track, name, delta);
             }
         }
@@ -224,18 +223,14 @@ pub fn counter(name: &str, delta: u64) {
 /// Never traced: its call placement is scheduler-dependent.
 pub fn counter_volatile(name: &str, delta: u64) {
     with_current(|r| {
-        if declared(name, Some(r)) {
-            r.counter_add(name, delta, true);
-        }
+        r.counter_add(name, delta, true);
     });
 }
 
 /// Sets the deterministic gauge `name` to `value` (last write wins).
 pub fn gauge(name: &str, value: i64) {
     with_current(|r| {
-        if declared(name, Some(r)) {
-            r.gauge_set(name, value, false);
-        }
+        r.gauge_set(name, value, false);
     });
 }
 
@@ -243,9 +238,7 @@ pub fn gauge(name: &str, value: i64) {
 /// snapshots).
 pub fn gauge_volatile(name: &str, value: i64) {
     with_current(|r| {
-        if declared(name, Some(r)) {
-            r.gauge_set(name, value, true);
-        }
+        r.gauge_set(name, value, true);
     });
 }
 
@@ -253,9 +246,7 @@ pub fn gauge_volatile(name: &str, value: i64) {
 /// power-of-two bucket layout, see [`POW2_BUCKET_BOUNDS`]).
 pub fn observe(name: &str, value: u64) {
     with_current(|r| {
-        if declared(name, Some(r)) {
-            r.histogram_observe(name, value, false);
-        }
+        r.histogram_observe(name, value, false);
     });
 }
 
@@ -263,9 +254,7 @@ pub fn observe(name: &str, value: u64) {
 /// in no-timings snapshots).
 pub fn observe_volatile(name: &str, value: u64) {
     with_current(|r| {
-        if declared(name, Some(r)) {
-            r.histogram_observe(name, value, true);
-        }
+        r.histogram_observe(name, value, true);
     });
 }
 
@@ -275,9 +264,7 @@ pub fn observe_volatile(name: &str, value: u64) {
 /// [`Registry::hdr_quantile`].
 pub fn observe_hdr(name: &str, value: u64) {
     with_current(|r| {
-        if declared(name, Some(r)) {
-            r.hdr_observe(name, value, false);
-        }
+        r.hdr_observe(name, value, false);
     });
 }
 
@@ -285,9 +272,7 @@ pub fn observe_hdr(name: &str, value: u64) {
 /// fields zeroed in no-timings snapshots).
 pub fn observe_hdr_volatile(name: &str, value: u64) {
     with_current(|r| {
-        if declared(name, Some(r)) {
-            r.hdr_observe(name, value, true);
-        }
+        r.hdr_observe(name, value, true);
     });
 }
 
@@ -689,6 +674,46 @@ mod tests {
         });
         assert_eq!(registry.counter_value("definitely.not.declared"), 0);
         assert_eq!(registry.counter_value(names::OBS_UNDECLARED), 2);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn undeclared_name_counts_on_every_call_not_only_the_first() {
+        let registry = Registry::new();
+        with_registry(&registry, || {
+            for _ in 0..3 {
+                counter("definitely.not.declared", 1);
+            }
+            counter(names::SERVE_REQUESTS, 1);
+            counter("definitely.not.declared", 1);
+        });
+        assert_eq!(registry.counter_value(names::OBS_UNDECLARED), 4);
+        assert_eq!(registry.counter_value(names::SERVE_REQUESTS), 1);
+        assert!(!registry
+            .snapshot_json(false)
+            .contains("definitely.not.declared"));
+    }
+
+    #[test]
+    fn volatile_update_of_a_known_name_flags_it_volatile() {
+        let registry = Registry::new();
+        with_registry(&registry, || {
+            counter("test.mixed", 2);
+            // The name is known now, so these updates take the fast
+            // path; a later deterministic update keeps the flag set.
+            counter_volatile("test.mixed", 3);
+            counter("test.mixed", 1);
+            observe_hdr("test.mixed.lat", 7);
+            observe_hdr_volatile("test.mixed.lat", 9);
+            observe_hdr("test.mixed.lat", 8);
+        });
+        assert_eq!(registry.counter_value("test.mixed"), 6);
+        let zeroed = registry.snapshot_json(true);
+        assert!(zeroed.contains("\"test.mixed\": 0"), "{zeroed}");
+        assert!(
+            zeroed.contains("\"test.mixed.lat\": {\"count\": 0"),
+            "{zeroed}"
+        );
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! the lexicographic key order regardless of insertion or thread
 //! interleaving. Exported values are integers only — no floats — so the
 //! rendered JSON is byte-stable.
+//!
+//! Recording is cheapest for a name seen before: its cell is updated in
+//! place under the lock, with no name check and no allocation. Only a
+//! name's first record runs the declared-name guard and allocates the
+//! key, so a registry only ever holds declared names.
 
 use crate::hdr::LogLinearHistogram;
 use std::collections::BTreeMap;
@@ -90,38 +95,79 @@ impl Registry {
         Registry::default()
     }
 
-    pub(crate) fn counter_add(&self, name: &str, delta: u64, volatile: bool) {
+    /// Updates `name`'s cell in one section of the state. A name
+    /// recorded before is updated in place under the lock. The first
+    /// record of a name runs the declared-name guard with the lock
+    /// released (in debug builds the guard panics), then inserts it.
+    /// Returns whether the update was recorded.
+    fn update<T: Default>(
+        &self,
+        section: fn(&mut State) -> &mut BTreeMap<String, T>,
+        name: &str,
+        apply: impl FnOnce(&mut T),
+    ) -> bool {
         let mut state = self.inner.lock().unwrap();
-        let cell = state.counters.entry(name.to_string()).or_default();
-        cell.value = cell.value.saturating_add(delta);
-        cell.volatile |= volatile;
+        if let Some(cell) = section(&mut state).get_mut(name) {
+            apply(cell);
+            return true;
+        }
+        drop(state);
+        if !crate::declared(name, Some(self)) {
+            return false;
+        }
+        let mut state = self.inner.lock().unwrap();
+        apply(section(&mut state).entry(name.to_string()).or_default());
+        true
+    }
+
+    pub(crate) fn counter_add(&self, name: &str, delta: u64, volatile: bool) -> bool {
+        self.update(
+            |state| &mut state.counters,
+            name,
+            |cell| {
+                cell.value = cell.value.saturating_add(delta);
+                cell.volatile |= volatile;
+            },
+        )
     }
 
     pub(crate) fn gauge_set(&self, name: &str, value: i64, volatile: bool) {
-        let mut state = self.inner.lock().unwrap();
-        let cell = state.gauges.entry(name.to_string()).or_default();
-        cell.value = value;
-        cell.volatile |= volatile;
+        self.update(
+            |state| &mut state.gauges,
+            name,
+            |cell| {
+                cell.value = value;
+                cell.volatile |= volatile;
+            },
+        );
     }
 
     pub(crate) fn histogram_observe(&self, name: &str, value: u64, volatile: bool) {
-        let mut state = self.inner.lock().unwrap();
-        let cell = state.histograms.entry(name.to_string()).or_default();
         let bucket = POW2_BUCKET_BOUNDS
             .iter()
             .position(|&bound| value <= bound)
             .unwrap_or(POW2_BUCKET_BOUNDS.len());
-        cell.counts[bucket] += 1;
-        cell.count += 1;
-        cell.sum = cell.sum.saturating_add(value);
-        cell.volatile |= volatile;
+        self.update(
+            |state| &mut state.histograms,
+            name,
+            |cell| {
+                cell.counts[bucket] += 1;
+                cell.count += 1;
+                cell.sum = cell.sum.saturating_add(value);
+                cell.volatile |= volatile;
+            },
+        );
     }
 
     pub(crate) fn hdr_observe(&self, name: &str, value: u64, volatile: bool) {
-        let mut state = self.inner.lock().unwrap();
-        let cell = state.hdr.entry(name.to_string()).or_default();
-        cell.hist.record(value);
-        cell.volatile |= volatile;
+        self.update(
+            |state| &mut state.hdr,
+            name,
+            |cell| {
+                cell.hist.record(value);
+                cell.volatile |= volatile;
+            },
+        );
     }
 
     pub(crate) fn span_record(&self, path: &str, elapsed_ns: u64) {
@@ -452,11 +498,11 @@ mod tests {
     #[test]
     fn histogram_buckets_values() {
         let r = Registry::new();
-        r.histogram_observe("h", 0, false); // <= 1
-        r.histogram_observe("h", 1, false); // <= 1
-        r.histogram_observe("h", 2, false); // <= 2
-        r.histogram_observe("h", 3, false); // <= 4
-        r.histogram_observe("h", u64::MAX, false); // overflow
+        r.histogram_observe("test.h", 0, false); // <= 1
+        r.histogram_observe("test.h", 1, false); // <= 1
+        r.histogram_observe("test.h", 2, false); // <= 2
+        r.histogram_observe("test.h", 3, false); // <= 4
+        r.histogram_observe("test.h", u64::MAX, false); // overflow
         let json = r.snapshot_json(false);
         assert!(json.contains("[1, 2]"), "two obs in first bucket: {json}");
         assert!(json.contains("[2, 1]"));
@@ -481,9 +527,9 @@ mod tests {
     #[test]
     fn counter_value_reads_back() {
         let r = Registry::new();
-        r.counter_add("x", 3, false);
-        r.counter_add("x", 4, false);
-        assert_eq!(r.counter_value("x"), 7);
+        r.counter_add("test.x", 3, false);
+        r.counter_add("test.x", 4, false);
+        assert_eq!(r.counter_value("test.x"), 7);
         assert_eq!(r.counter_value("missing"), 0);
     }
 
@@ -491,23 +537,23 @@ mod tests {
     fn hdr_section_renders_quantiles_and_buckets() {
         let r = Registry::new();
         for v in [1u64, 2, 3, 81] {
-            r.hdr_observe("lat", v, false);
+            r.hdr_observe("test.lat", v, false);
         }
         let json = r.snapshot_json(false);
         assert!(json.contains("\"hdr\": {"), "{json}");
         assert!(json.contains("\"p99\": 81"), "{json}");
         assert!(json.contains("[81, 1]"), "{json}");
-        assert_eq!(r.hdr_quantile("lat", 0.5), Some(2));
+        assert_eq!(r.hdr_quantile("test.lat", 0.5), Some(2));
         assert_eq!(r.hdr_quantile("missing", 0.5), None);
     }
 
     #[test]
     fn hdr_volatile_zeroes_under_no_timings() {
         let r = Registry::new();
-        r.hdr_observe("vlat", 100, true);
+        r.hdr_observe("test.vlat", 100, true);
         let json = r.snapshot_json(true);
         assert!(
-            json.contains("\"vlat\": {\"count\": 0, \"sum\": 0"),
+            json.contains("\"test.vlat\": {\"count\": 0, \"sum\": 0"),
             "{json}"
         );
         assert!(json.contains("\"buckets\": []"), "{json}");
@@ -531,21 +577,21 @@ mod tests {
     #[test]
     fn prometheus_exposition_orders_sections_and_flags_volatile() {
         let r = Registry::new();
-        r.counter_add("b.count", 2, false);
-        r.counter_add("a.count", 1, true);
-        r.gauge_set("depth", 7, false);
-        r.histogram_observe("h.sizes", 3, false);
-        r.hdr_observe("lat", 81, false);
+        r.counter_add("test.b.count", 2, false);
+        r.counter_add("test.a.count", 1, true);
+        r.gauge_set("test.depth", 7, false);
+        r.histogram_observe("test.h.sizes", 3, false);
+        r.hdr_observe("test.lat", 81, false);
         r.span_record("outer/inner", 999);
         let text = r.render_prometheus(false);
         // Lexicographic within a section, counters before gauges before
         // histograms before hdr before spans.
         let order = [
-            "a_count 1",
-            "b_count 2",
-            "depth 7",
-            "h_sizes_count 1",
-            "lat_count 1",
+            "test_a_count 1",
+            "test_b_count 2",
+            "test_depth 7",
+            "test_h_sizes_count 1",
+            "test_lat_count 1",
             "outer_inner_calls 1",
         ];
         let mut at = 0;
@@ -555,12 +601,12 @@ mod tests {
                 .unwrap_or_else(|| panic!("{needle} missing or out of order:\n{text}"));
             at += pos;
         }
-        assert!(text.contains("# CLASS a_count volatile"), "{text}");
+        assert!(text.contains("# CLASS test_a_count volatile"), "{text}");
         assert!(
-            !text.contains("# CLASS b_count"),
+            !text.contains("# CLASS test_b_count"),
             "deterministic metrics carry no CLASS line:\n{text}"
         );
-        assert!(text.contains("# TYPE depth gauge"), "{text}");
+        assert!(text.contains("# TYPE test_depth gauge"), "{text}");
         assert!(text.contains("# CLASS outer_inner_ns volatile"), "{text}");
     }
 
@@ -568,11 +614,11 @@ mod tests {
     fn prometheus_histogram_buckets_are_cumulative_and_inf_matches_count() {
         let r = Registry::new();
         for v in [1u64, 1, 2, 3, 100, u64::MAX] {
-            r.histogram_observe("h", v, false);
-            r.hdr_observe("lat", v, false);
+            r.histogram_observe("test.h", v, false);
+            r.hdr_observe("test.lat", v, false);
         }
         let text = r.render_prometheus(false);
-        for metric in ["h", "lat"] {
+        for metric in ["test_h", "test_lat"] {
             let mut last = 0u64;
             let mut inf = None;
             let mut count = None;
@@ -608,10 +654,10 @@ mod tests {
                     scope.spawn(move || {
                         for i in 0..100u64 {
                             if i % threads as u64 == t as u64 {
-                                r.counter_add("det", 1, false);
-                                r.counter_add("vol", i, true);
-                                r.hdr_observe("lat", i, false);
-                                r.histogram_observe("sizes", i, false);
+                                r.counter_add("test.det", 1, false);
+                                r.counter_add("test.vol", i, true);
+                                r.hdr_observe("test.lat", i, false);
+                                r.histogram_observe("test.sizes", i, false);
                             }
                         }
                     });
@@ -622,7 +668,7 @@ mod tests {
         let reference = run(1);
         assert_eq!(reference, run(2));
         assert_eq!(reference, run(8));
-        assert!(reference.contains("vol 0"), "{reference}");
-        assert!(reference.contains("det 100"), "{reference}");
+        assert!(reference.contains("test_vol 0"), "{reference}");
+        assert!(reference.contains("test_det 100"), "{reference}");
     }
 }

@@ -36,7 +36,7 @@
 
 use crate::deadline::Deadline;
 use crate::hedge::HedgePolicy;
-use crate::replica::{fingerprint64, Replica, ReplicaError};
+use crate::replica::{fingerprint64, PageTable, Replica, ReplicaError};
 use crate::telemetry::BreakerState;
 use crate::SITE_SERVE_BACKING;
 use appstore_core::backoff::RetryBudget;
@@ -121,6 +121,8 @@ pub struct TierStats {
 /// The replicated backing tier behind the serving layer.
 pub struct BackingTier<'a> {
     replicas: Vec<Replica<'a>>,
+    /// Encoded pages every replica serves from, filled on first fetch.
+    pages: PageTable,
     pool: ProxyPool,
     proxies: Vec<Proxy>,
     budgets: Vec<RetryBudget>,
@@ -158,6 +160,7 @@ impl<'a> BackingTier<'a> {
             replicas: (0..n)
                 .map(|i| Replica::new(i, dataset, policy, seed))
                 .collect(),
+            pages: PageTable::default(),
             pool,
             proxies,
             budgets: (0..n)
@@ -319,7 +322,13 @@ impl<'a> BackingTier<'a> {
             Some(FaultKind::WorkerPanic) => panic!("injected panic in backing call"),
             _ => {}
         }
-        match self.replicas[replica].handle(client, Region::Europe, now_ms, request) {
+        match self.replicas[replica].handle(
+            client,
+            Region::Europe,
+            now_ms,
+            request,
+            &mut self.pages,
+        ) {
             Ok((payload, latency_ms)) => {
                 self.pool.record_success(proxy);
                 *note = Some("ok");
@@ -493,14 +502,14 @@ impl<'a> BackingTier<'a> {
     /// replica serves the reference fingerprint again.
     pub fn reconcile(&mut self, day: Day) -> ReconcileReport {
         let reference_fingerprint = self.replicas[0]
-            .peek_authoritative(Request::Index { day })
+            .peek_authoritative(Request::Index { day }, &mut self.pages)
             .map(|payload| fingerprint64(&payload))
             .unwrap_or(0);
         let mut divergent = Vec::new();
         for i in 0..self.replicas.len() {
             appstore_obs::counter(names::BALANCER_RECONCILE_CHECKS, 1);
             let fingerprint = self.replicas[i]
-                .rankings_payload(day)
+                .rankings_payload(day, &mut self.pages)
                 .map(|payload| fingerprint64(&payload))
                 .unwrap_or(0);
             if fingerprint != reference_fingerprint {
@@ -537,6 +546,8 @@ mod tests {
     use super::*;
     use crate::replay::test_dataset;
     use appstore_core::faults::{with_injector, FaultInjector, FaultPlan, FaultTrigger};
+    use appstore_crawler::wire::{decode_response, encode_response};
+    use appstore_crawler::Response;
 
     fn tier<'a>(dataset: &'a Dataset, replicas: usize, hedge: HedgePolicy) -> BackingTier<'a> {
         BackingTier::new(
@@ -766,6 +777,101 @@ mod tests {
         assert_eq!(report.reference_fingerprint, clean.reference_fingerprint);
         // Idempotent: a second pass finds nothing.
         assert!(t.reconcile(Day(0)).divergent.is_empty());
+    }
+
+    fn fetch(
+        tier: &mut BackingTier<'_>,
+        client: u32,
+        call: u64,
+        request: Request,
+    ) -> Result<Bytes, TierError> {
+        let mut deadline = Deadline::new(1_000_000);
+        tier.call(client, call * 10, call, &mut deadline, &mut None, request)
+    }
+
+    #[test]
+    fn every_app_page_served_through_the_tier_is_its_encoded_observation() {
+        let dataset = test_dataset(24);
+        let mut t = tier(&dataset, 3, HedgePolicy::default());
+        assert_eq!(t.pages.len(), 0, "nothing is encoded at start-up");
+        let observations = &dataset.snapshots[0].observations;
+        for pass in 0..2u64 {
+            for (i, observation) in observations.iter().enumerate() {
+                let request = Request::AppPage {
+                    app: observation.app,
+                    day: Day(0),
+                };
+                let call = pass * observations.len() as u64 + i as u64;
+                let served = fetch(&mut t, 1, call, request).unwrap();
+                let expected = encode_response(&Response::AppPage {
+                    observation: *observation,
+                });
+                assert_eq!(served, expected, "pass {pass}, app {i}");
+            }
+        }
+        // One encoding per page, however many fetches and replicas.
+        assert_eq!(t.pages.len(), observations.len());
+        let unknown = Request::AppPage {
+            app: appstore_core::AppId(999),
+            day: Day(0),
+        };
+        assert_eq!(fetch(&mut t, 1, 100, unknown), Err(TierError::NotFound));
+        assert_eq!(t.pages.len(), observations.len(), "errors are not kept");
+    }
+
+    #[test]
+    fn drifted_replica_serves_rotated_rankings_until_reconciled() {
+        let dataset = test_dataset(16);
+        let mut t = tier(&dataset, 3, HedgePolicy::default());
+        let rankings = Request::Index { day: Day(0) };
+        let clean = fetch(&mut t, 1, 0, rankings).unwrap();
+        t.replicas[1].drift();
+        // Replica 1 still serves a rotation of the memoized page.
+        let served: Vec<Bytes> = (1..40)
+            .map(|call| fetch(&mut t, 1, call, rankings).unwrap())
+            .collect();
+        let drifted: Vec<&Bytes> = served.iter().filter(|page| **page != clean).collect();
+        assert!(!drifted.is_empty(), "routing reached the drifted replica");
+        for page in &drifted {
+            let Ok(Response::Index { apps }) = decode_response(page) else {
+                panic!("a drifted page still decodes");
+            };
+            assert_eq!(apps.len(), 16);
+            assert_ne!(fingerprint64(page), fingerprint64(&clean));
+        }
+        let report = t.reconcile(Day(0));
+        assert_eq!(report.divergent, vec![1]);
+        assert_eq!(report.reference_fingerprint, fingerprint64(&clean));
+        for call in 40..80 {
+            assert_eq!(fetch(&mut t, 1, call, rankings).unwrap(), clean);
+        }
+    }
+
+    #[test]
+    fn a_memoized_page_still_spends_a_rate_limit_token() {
+        let dataset = test_dataset(8);
+        let policy = ServerPolicy {
+            requests_per_second: 0.001,
+            burst: 3,
+            ..ServerPolicy::default()
+        };
+        let mut t = BackingTier::new(&dataset, 1, policy, HedgePolicy::default(), Seed::new(5));
+        let page = Request::AppPage {
+            app: appstore_core::AppId(2),
+            day: Day(0),
+        };
+        let mut deadline = Deadline::new(1_000_000);
+        for call in 0..3 {
+            assert!(t.call(7, 0, call, &mut deadline, &mut None, page).is_ok());
+        }
+        assert_eq!(t.pages.len(), 1, "one encoding served all three");
+        let fourth = t.call(7, 0, 3, &mut deadline, &mut None, page);
+        assert!(
+            matches!(fourth, Err(TierError::RateLimited { .. })),
+            "{fourth:?}"
+        );
+        // Another client has a bucket of its own.
+        assert!(t.call(8, 0, 4, &mut deadline, &mut None, page).is_ok());
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use hedge::HedgePolicy;
 pub use http::{HttpRequest, HttpResponse};
 pub use queue::{Admission, AdmissionPolicy, BoundedQueue};
 pub use replay::{replay, ReplayConfig, ReplayStats, Workload};
-pub use replica::{fingerprint64, Replica, ReplicaError, ReplicaState};
+pub use replica::{fingerprint64, PageTable, Replica, ReplicaError, ReplicaState};
 pub use server::{with_server, ServeConfig, ServerHandle, TRACE_SAMPLE_EVERY};
 pub use slo::{SloMonitor, SloPolicy, SloSummary};
 pub use telemetry::{BreakerState, HealthState, StatusSnapshot};

@@ -30,7 +30,7 @@
 //! every completed request also feeds a [`SloMonitor`] grading
 //! availability and p99 objectives over rolling virtual-time windows.
 
-use crate::http::{read_response, HttpResponse};
+use crate::http::{read_response, HttpResponse, IO_BUFFER_BYTES};
 use crate::server::TRACE_SAMPLE_EVERY;
 use crate::slo::{SloMonitor, SloPolicy, SloSummary};
 use appstore_core::backoff::{BackoffSchedule, RetryBudget};
@@ -324,8 +324,8 @@ pub fn replay(
 ) -> io::Result<ReplayStats> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut reader = BufReader::with_capacity(IO_BUFFER_BYTES, stream.try_clone()?);
+    let mut writer = BufWriter::with_capacity(IO_BUFFER_BYTES, stream);
 
     let mut ops = Vec::with_capacity(workload.events.len() + workload.events.len() / 16);
     for (i, &(client, app)) in workload.events.iter().enumerate() {

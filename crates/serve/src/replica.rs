@@ -16,11 +16,16 @@
 //! fingerprint against the authoritative payload (read over the
 //! unmetered [`MarketplaceServer::peek`] channel) and clears the drift
 //! overlay on mismatch.
+//!
+//! Encoded payloads come from a [`PageTable`] the whole tier shares:
+//! every replica serves the same immutable dataset, so each page is
+//! encoded on the tier's first fetch of it and reused after that.
 
 use appstore_core::{Dataset, Day, Seed};
 use appstore_crawler::wire::{decode_response, encode_response};
 use appstore_crawler::{MarketplaceServer, Region, Request, Response, ServerPolicy, WireError};
 use bytes::Bytes;
+use std::collections::HashMap;
 
 /// 64-bit FNV-1a over a byte slice: the tier's content fingerprint.
 /// Zero-dependency and stable across platforms, so fingerprints can be
@@ -34,6 +39,44 @@ pub fn fingerprint64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(PRIME);
     }
     hash
+}
+
+/// Encoded payloads by request, filled on first fetch and shared by the
+/// replicas of one tier. The dataset behind them never changes, so a
+/// page's bytes never do either: it is encoded at most once, and a page
+/// the tier never fetches is never encoded. Admission, liveness and
+/// drift still run on every call; only the encoding is kept.
+///
+/// The table lives in the serving tier, not in [`MarketplaceServer`]:
+/// the crawler reads each page about once a day, where a table would
+/// only hold memory.
+#[derive(Debug, Default)]
+pub struct PageTable {
+    pages: HashMap<Request, Bytes>,
+}
+
+impl PageTable {
+    /// The payload for `request`: kept from an earlier fetch, or read
+    /// over `server`'s unmetered [`MarketplaceServer::peek`] channel and
+    /// kept. Errors (an unknown app or day) are not kept.
+    pub(crate) fn get(
+        &mut self,
+        server: &MarketplaceServer<'_>,
+        request: Request,
+    ) -> Result<Bytes, WireError> {
+        if let Some(page) = self.pages.get(&request) {
+            return Ok(page.clone());
+        }
+        let page = server.peek(request)?;
+        self.pages.insert(request, page.clone());
+        Ok(page)
+    }
+
+    /// Pages encoded so far.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.pages.len()
+    }
 }
 
 /// Liveness of one replica, as injected faults and admin calls see it.
@@ -141,37 +184,46 @@ impl<'a> Replica<'a> {
         was_down
     }
 
-    /// Serves one metered call, applying liveness and drift.
+    /// Serves one metered call, applying liveness, admission and drift;
+    /// the payload comes from the tier's shared `pages`.
     pub fn handle(
         &self,
         addr: u32,
         region: Region,
         now_ms: u64,
         request: Request,
+        pages: &mut PageTable,
     ) -> Result<(Bytes, u64), ReplicaError> {
         if !self.is_up(now_ms) {
             return Err(ReplicaError::Unavailable);
         }
-        let (payload, latency_ms) = self
-            .server
-            .handle(addr, region, now_ms, request)
+        self.server
+            .admit(addr, region, now_ms)
             .map_err(ReplicaError::Wire)?;
-        Ok((self.apply_drift(request, payload), latency_ms))
+        let payload = pages
+            .get(&self.server, request)
+            .map_err(ReplicaError::Wire)?;
+        Ok((
+            self.apply_drift(request, payload),
+            self.server.policy().latency_ms,
+        ))
     }
 
     /// The authoritative (never drifted, never metered) payload for
     /// `request` — the replication channel anti-entropy reads.
-    pub fn peek_authoritative(&self, request: Request) -> Result<Bytes, WireError> {
-        self.server.peek(request)
+    pub fn peek_authoritative(
+        &self,
+        request: Request,
+        pages: &mut PageTable,
+    ) -> Result<Bytes, WireError> {
+        pages.get(&self.server, request)
     }
 
     /// The payload this replica would serve for the rankings page right
     /// now, drift included — what a fingerprint check must hash.
-    pub fn rankings_payload(&self, day: Day) -> Result<Bytes, WireError> {
-        Ok(self.apply_drift(
-            Request::Index { day },
-            self.server.peek(Request::Index { day })?,
-        ))
+    pub fn rankings_payload(&self, day: Day, pages: &mut PageTable) -> Result<Bytes, WireError> {
+        let request = Request::Index { day };
+        Ok(self.apply_drift(request, pages.get(&self.server, request)?))
     }
 
     /// Perturbs an `Index` payload while drifted: the app list is
@@ -218,11 +270,12 @@ mod tests {
     fn crash_partition_and_rejoin_transitions() {
         let dataset = test_dataset(8);
         let mut r = replica(&dataset);
+        let mut pages = PageTable::default();
         let request = Request::Index { day: Day(0) };
-        assert!(r.handle(0, Region::Europe, 0, request).is_ok());
+        assert!(r.handle(0, Region::Europe, 0, request, &mut pages).is_ok());
         r.crash();
         assert_eq!(
-            r.handle(0, Region::Europe, 10, request),
+            r.handle(0, Region::Europe, 10, request, &mut pages),
             Err(ReplicaError::Unavailable)
         );
         // A crash does not heal with time, only with a rejoin.
@@ -238,14 +291,15 @@ mod tests {
     fn drift_perturbs_rankings_deterministically_and_repairs() {
         let dataset = test_dataset(16);
         let mut r = replica(&dataset);
-        let clean = r.rankings_payload(Day(0)).unwrap();
+        let mut pages = PageTable::default();
+        let clean = r.rankings_payload(Day(0), &mut pages).unwrap();
         assert_eq!(
             clean,
-            r.peek_authoritative(Request::Index { day: Day(0) })
+            r.peek_authoritative(Request::Index { day: Day(0) }, &mut pages)
                 .unwrap()
         );
         r.drift();
-        let drifted = r.rankings_payload(Day(0)).unwrap();
+        let drifted = r.rankings_payload(Day(0), &mut pages).unwrap();
         assert_ne!(fingerprint64(&clean), fingerprint64(&drifted));
         // Same apps, different order: decodes to a permutation.
         let Response::Index { apps } = decode_response(&drifted).unwrap() else {
@@ -254,26 +308,27 @@ mod tests {
         assert_eq!(apps.len(), 16);
         // Drift is stable while active, survives crash + rejoin, and
         // only reconciliation clears it.
-        assert_eq!(drifted, r.rankings_payload(Day(0)).unwrap());
+        assert_eq!(drifted, r.rankings_payload(Day(0), &mut pages).unwrap());
         r.crash();
         r.rejoin();
         assert!(r.is_drifted());
-        assert_eq!(drifted, r.rankings_payload(Day(0)).unwrap());
+        assert_eq!(drifted, r.rankings_payload(Day(0), &mut pages).unwrap());
         r.clear_drift();
-        assert_eq!(clean, r.rankings_payload(Day(0)).unwrap());
+        assert_eq!(clean, r.rankings_payload(Day(0), &mut pages).unwrap());
     }
 
     #[test]
     fn drift_leaves_app_pages_alone() {
         let dataset = test_dataset(8);
         let mut r = replica(&dataset);
+        let mut pages = PageTable::default();
         let request = Request::AppPage {
             app: appstore_core::AppId(3),
             day: Day(0),
         };
-        let (clean, _) = r.handle(0, Region::Europe, 0, request).unwrap();
+        let (clean, _) = r.handle(0, Region::Europe, 0, request, &mut pages).unwrap();
         r.drift();
-        let (drifted, _) = r.handle(0, Region::Europe, 1, request).unwrap();
+        let (drifted, _) = r.handle(0, Region::Europe, 1, request, &mut pages).unwrap();
         assert_eq!(clean, drifted);
     }
 }

@@ -42,7 +42,7 @@ use crate::balancer::{BackingTier, TierError as BackingError};
 use crate::deadline::Deadline;
 use crate::edge::{EdgeCache, RankingsView};
 use crate::hedge::HedgePolicy;
-use crate::http::{read_request, HttpRequest, HttpResponse};
+use crate::http::{read_request, HttpRequest, HttpResponse, IO_BUFFER_BYTES};
 use crate::queue::{AdmissionPolicy, BoundedQueue};
 use crate::telemetry::{self, HealthState, StatusSnapshot};
 use crate::SITE_SERVE_HANDLER;
@@ -247,8 +247,10 @@ impl<'a> Shared<'a> {
 }
 
 /// What a traced request saw at each tier, gathered while handling and
-/// rendered post-hoc as span args and stage instants. Everything here
-/// is diagnostic annotation — it never feeds a resilience decision.
+/// rendered post-hoc as span args and stage instants. The degradation
+/// reason and the burned budget also classify the finished response,
+/// so the server never reads its own headers back. Nothing here feeds
+/// a resilience decision.
 #[derive(Debug, Default)]
 struct TraceNotes {
     /// Accept-queue depth when the handler picked the request up.
@@ -257,9 +259,11 @@ struct TraceNotes {
     edge: Option<&'static str>,
     /// Backing-fetch verdict (`ok` / `open` / `failed` / ...).
     backing: Option<&'static str>,
+    /// The `X-Degraded` reason the response carries, if any.
+    degraded: Option<&'static str>,
     /// Deadline budget the request carried (virtual ms).
     deadline_budget_ms: u64,
-    /// Virtual ms the request actually burned.
+    /// Virtual ms the request actually burned: its `X-Virtual-Ms`.
     deadline_burned_ms: u64,
 }
 
@@ -278,9 +282,20 @@ fn call_backing(
     lock(&shared.tier).call(client, now_ms, index, deadline, &mut notes.backing, request)
 }
 
-fn shed(status: u16, reason: &str, retry_after_ms: u64) -> HttpResponse {
-    HttpResponse::new(status)
-        .with_header("X-Degraded", reason)
+/// Marks `response` degraded: `X-Degraded: reason` on the wire, and the
+/// same reason in the notes that classify the response.
+fn degrade(response: HttpResponse, reason: &'static str, notes: &mut TraceNotes) -> HttpResponse {
+    notes.degraded = Some(reason);
+    response.with_header("X-Degraded", reason)
+}
+
+fn shed(
+    status: u16,
+    reason: &'static str,
+    retry_after_ms: u64,
+    notes: &mut TraceNotes,
+) -> HttpResponse {
+    degrade(HttpResponse::new(status), reason, notes)
         .with_header("Retry-After", retry_after_ms.div_ceil(1_000).max(1))
         .with_header("X-Retry-After-Ms", retry_after_ms.max(1))
 }
@@ -329,24 +344,27 @@ fn rankings(
             // stale-while-revalidate's whole point.
             if let RankingsView::Stale(payload) = view {
                 appstore_obs::counter(names::SERVE_RANKINGS_STALE, 1);
-                return HttpResponse::new(200)
-                    .with_header("X-Source", "edge")
-                    .with_header("X-Degraded", "stale")
-                    .with_body(payload);
+                let response = HttpResponse::new(200).with_header("X-Source", "edge");
+                return degrade(response, "stale", notes).with_body(payload);
             }
             match error {
                 BackingError::Open { retry_at_ms } => {
                     appstore_obs::counter(names::SERVE_SHEDS_BREAKER, 1);
-                    shed(503, "breaker-open", retry_at_ms.saturating_sub(now_ms))
+                    shed(
+                        503,
+                        "breaker-open",
+                        retry_at_ms.saturating_sub(now_ms),
+                        notes,
+                    )
                 }
                 BackingError::Deadline => {
                     appstore_obs::counter(names::SERVE_SHEDS_DEADLINE, 1);
-                    shed(504, "deadline", 1_000)
+                    shed(504, "deadline", 1_000, notes)
                 }
                 BackingError::RateLimited { retry_after_ms } => {
-                    shed(503, "backing-throttled", retry_after_ms)
+                    shed(503, "backing-throttled", retry_after_ms, notes)
                 }
-                _ => shed(503, "backing-failed", 1_000),
+                _ => shed(503, "backing-failed", 1_000, notes),
             }
         }
     }
@@ -393,14 +411,18 @@ fn app_page(
         }
         Err(BackingError::Open { retry_at_ms }) => {
             appstore_obs::counter(names::SERVE_SHEDS_BREAKER, 1);
-            shed(503, "breaker-open", retry_at_ms.saturating_sub(now_ms))
+            shed(
+                503,
+                "breaker-open",
+                retry_at_ms.saturating_sub(now_ms),
+                notes,
+            )
         }
-        Err(BackingError::Failed) => HttpResponse::new(502)
-            .with_header("X-Degraded", "backing-failed")
+        Err(BackingError::Failed) => degrade(HttpResponse::new(502), "backing-failed", notes)
             .with_header("X-Retry-After-Ms", 100),
         Err(BackingError::Deadline) => {
             appstore_obs::counter(names::SERVE_SHEDS_DEADLINE, 1);
-            shed(504, "deadline", 1_000)
+            shed(504, "deadline", 1_000, notes)
         }
         Err(BackingError::RateLimited { retry_after_ms }) => HttpResponse::new(429)
             .with_header("Retry-After", retry_after_ms.div_ceil(1_000).max(1))
@@ -410,14 +432,19 @@ fn app_page(
     }
 }
 
-fn download(shared: &Shared<'_>, request: &HttpRequest, deadline: &mut Deadline) -> HttpResponse {
+fn download(
+    shared: &Shared<'_>,
+    request: &HttpRequest,
+    deadline: &mut Deadline,
+    notes: &mut TraceNotes,
+) -> HttpResponse {
     let Some(app) = request.query_u64("app") else {
         return HttpResponse::new(400);
     };
     deadline.charge(shared.config.download_cost_ms);
     if deadline.exceeded() {
         appstore_obs::counter(names::SERVE_SHEDS_DEADLINE, 1);
-        return shed(504, "deadline", 1_000);
+        return shed(504, "deadline", 1_000, notes);
     }
     // APK metadata comes straight from the catalogue — the paper's
     // download path is fronted by exactly the cache this server is.
@@ -467,7 +494,7 @@ fn route_request(
             deadline.charge(virtual_ms);
         }
         Some(FaultKind::IoError | FaultKind::Corrupt | FaultKind::PartialWrite) => {
-            return HttpResponse::new(500).with_header("X-Degraded", "io-error");
+            return degrade(HttpResponse::new(500), "io-error", notes);
         }
         // Replica faults target the tier's sites, not the handler; any
         // kind that leaks here is a no-op by construction.
@@ -476,16 +503,16 @@ fn route_request(
     deadline.charge(shared.config.handler_cost_ms);
     if deadline.exceeded() {
         appstore_obs::counter(names::SERVE_SHEDS_DEADLINE, 1);
-        return shed(504, "deadline", 1_000);
+        return shed(504, "deadline", 1_000, notes);
     }
-    if request.method != "GET" {
+    if request.method() != "GET" {
         return HttpResponse::new(400);
     }
     let client = request.header_u64("x-client").unwrap_or(0) as u32;
     match request.path.as_str() {
         "/rankings" => rankings(shared, now_ms, index, deadline, notes),
         "/app" => app_page(shared, request, client, now_ms, index, deadline, notes),
-        "/download" => download(shared, request, deadline),
+        "/download" => download(shared, request, deadline, notes),
         "/admin/rejoin" => admin_rejoin(shared),
         "/admin/reconcile" => admin_reconcile(shared),
         "/admin/tier" => admin_tier(shared),
@@ -712,24 +739,23 @@ fn guarded_handle(shared: &Shared<'_>, request: &HttpRequest) -> HttpResponse {
         Err(_) => {
             shared.panics_caught.fetch_add(1, Ordering::SeqCst);
             appstore_obs::counter(names::SERVE_PANICS_CAUGHT, 1);
-            let response = HttpResponse::new(500)
-                .with_header("X-Degraded", "panic")
-                .with_header("X-Virtual-Ms", 0u64);
-            let notes = TraceNotes {
+            let mut notes = TraceNotes {
                 queue_depth,
                 ..TraceNotes::default()
             };
+            let response = degrade(HttpResponse::new(500), "panic", &mut notes)
+                .with_header("X-Virtual-Ms", 0u64);
             (response, notes, true)
         }
     };
-    let degraded = response.header("x-degraded");
+    let degraded = notes.degraded;
     match (response.status, degraded) {
         (200, None) => appstore_obs::counter(names::SERVE_RESPONSES_FRESH, 1),
         (200, Some(_)) => appstore_obs::counter(names::SERVE_RESPONSES_STALE, 1),
         (503 | 504, _) => appstore_obs::counter(names::SERVE_RESPONSES_SHED, 1),
         _ => {}
     }
-    let virtual_ms = response.header_u64("x-virtual-ms").unwrap_or(0);
+    let virtual_ms = notes.deadline_burned_ms;
     let (class_metric, class) = degradation_class(response.status, degraded);
     appstore_obs::observe(names::SERVE_LATENCY_VIRTUAL_MS, virtual_ms);
     appstore_obs::observe_hdr(route_metric(&request.path), virtual_ms);
@@ -779,8 +805,8 @@ fn handle_connection(shared: &Shared<'_>, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
+    let mut reader = BufReader::with_capacity(IO_BUFFER_BYTES, read_half);
+    let mut writer = BufWriter::with_capacity(IO_BUFFER_BYTES, stream);
     loop {
         // About to block for input: push out everything pending first.
         if reader.buffer().is_empty() && writer.flush().is_err() {
@@ -857,7 +883,8 @@ pub fn with_server<R>(
                         appstore_obs::counter(names::SERVE_SHEDS_QUEUE, 1);
                         appstore_obs::counter(names::SERVE_RESPONSES_SHED, 1);
                         let mut writer = BufWriter::new(rejected);
-                        let _ = shed(503, "queue-full", 1_000).write_to(&mut writer);
+                        let response = shed(503, "queue-full", 1_000, &mut TraceNotes::default());
+                        let _ = response.write_to(&mut writer);
                         let _ = writer.flush();
                     }
                 }
@@ -998,6 +1025,65 @@ mod tests {
             let response = read_response(&mut reader).unwrap();
             assert_eq!(response.status, 504);
             assert_eq!(response.header("x-degraded"), Some("deadline"));
+        });
+    }
+
+    #[test]
+    fn oversized_heads_drop_the_connection_and_the_server_carries_on() {
+        let dataset = test_dataset(16);
+        with_server(&dataset, &test_config(), |handle| {
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            let mut head = b"GET /app?id=1 HTTP/1.1\r\nX-Pad: ".to_vec();
+            head.resize(crate::http::MAX_HEAD_BYTES + 1_024, b'a');
+            // The server may close mid-write; what matters is what it answers.
+            let _ = stream
+                .write_all(&head)
+                .and_then(|()| stream.write_all(b"\r\n\r\n"));
+            let mut answer = Vec::new();
+            let _ = std::io::Read::read_to_end(&mut stream, &mut answer);
+            assert!(answer.is_empty(), "no response to an oversized head");
+            // The worker survived and serves the next connection.
+            assert_eq!(get(handle.addr(), "/app?id=1", 0).status, 200);
+            assert_eq!(handle.panics_caught(), 0);
+        });
+    }
+
+    #[test]
+    fn served_wire_bytes_are_unchanged() {
+        let dataset = test_dataset(16);
+        with_server(&dataset, &test_config(), |handle| {
+            let raw = |request: &str| {
+                let mut stream = TcpStream::connect(handle.addr()).unwrap();
+                stream.write_all(request.as_bytes()).unwrap();
+                stream.shutdown(std::net::Shutdown::Write).unwrap();
+                let mut answer = String::new();
+                std::io::Read::read_to_string(&mut stream, &mut answer).unwrap();
+                answer
+            };
+            let warm = raw("GET /app?id=1 HTTP/1.1\r\nX-Client: 1\r\nX-Now-Ms: 0\r\n\r\n");
+            let body = String::from_utf8(
+                encode_response(&Response::AppPage {
+                    observation: dataset.snapshots[0].observations[1],
+                })
+                .to_vec(),
+            )
+            .unwrap();
+            assert_eq!(
+                warm,
+                format!(
+                    "HTTP/1.1 200 OK\r\nX-Source: edge\r\nX-Virtual-Ms: 1\r\n\
+                     Content-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+            );
+            let late = raw(
+                "GET /app?id=9 HTTP/1.1\r\nX-Client: 1\r\nX-Now-Ms: 0\r\nX-Deadline-Ms: 10\r\n\r\n",
+            );
+            assert_eq!(
+                late,
+                "HTTP/1.1 504 Gateway Timeout\r\nX-Degraded: deadline\r\nRetry-After: 1\r\n\
+                 X-Retry-After-Ms: 1000\r\nX-Virtual-Ms: 1\r\nContent-Length: 0\r\n\r\n"
+            );
         });
     }
 
