@@ -9,13 +9,22 @@
 //!
 //! Both directions keep a head as one buffer of wire text. A head —
 //! request or status line plus header lines — is read into one buffer
-//! and parsed in the same single pass over the reader's bytes, which
-//! records where each header's name and value sit. Every lookup
-//! (header, query key, method) then reads that buffer in place, without
-//! allocating. A response under construction keeps its header lines as
-//! the text they go out as, so each header is one append and
-//! serializing is one write. Heads over [`MAX_HEAD_BYTES`] and bodies
-//! over [`MAX_BODY_BYTES`] are refused as `InvalidData`.
+//! and parsed in the same single pass over the reader's bytes. A
+//! request also records where each header's name and value sit, since
+//! the server looks several of them up; every lookup (header, query
+//! key, method) reads the buffer in place, without allocating. A
+//! response keeps its header lines as the text they go out as: each
+//! header is one append, integers go through a small integer writer
+//! instead of `fmt`, and a lookup scans its few lines.
+//!
+//! The serving connection and the replay client each read every head
+//! into one request or response they reuse, so a warm round trip
+//! allocates only the response's header text and the body the client
+//! reads. [`read_request`] and [`read_response`] run the same code into
+//! fresh buffers. A body that is already whole in the reader's buffer
+//! is copied once, from there into its [`Bytes`]. Heads over
+//! [`MAX_HEAD_BYTES`], bodies over [`MAX_BODY_BYTES`] and a
+//! `Content-Length` that does not parse are refused as `InvalidData`.
 //!
 //! The resilience headers are part of the contract:
 //!
@@ -38,7 +47,6 @@
 //!   span records as its parent (an annotation, not control flow).
 
 use bytes::Bytes;
-use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, Write};
 use std::ops::Range;
 
@@ -53,12 +61,16 @@ pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 /// client: a whole 64-request pipelined batch fits in one buffer.
 pub(crate) const IO_BUFFER_BYTES: usize = 64 * 1024;
 
+/// Starting capacity of a head's text: a replay request head or a
+/// served response head fits without growing.
+const HEAD_CAPACITY: usize = 256;
+
 /// Where one header's name and value sit in a head's text.
 type HeaderSpan = (Range<usize>, Range<usize>);
 
 /// A parsed request: its head as received, in one buffer, plus where
 /// the method, the query string and each header sit in it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HttpRequest {
     /// Path portion of the target, without the query string.
     pub path: String,
@@ -90,7 +102,12 @@ impl HttpRequest {
 
     /// Header value by (case-insensitive) name, trimmed.
     pub fn header(&self, name: &str) -> Option<&str> {
-        find_header(&self.head, &self.headers, name)
+        self.headers
+            .iter()
+            .find(|(key, _)| {
+                self.head.as_bytes()[key.clone()].eq_ignore_ascii_case(name.as_bytes())
+            })
+            .map(|(_, value)| &self.head[value.clone()])
     }
 
     /// Header value parsed as `u64`.
@@ -105,12 +122,37 @@ pub struct HttpResponse {
     /// Status code (200, 404, 429, 500, 503, 504, ...).
     pub status: u16,
     /// Header lines as wire text, `Name: value\r\n` each, in the order
-    /// they were added (`Content-Length` is added on write).
+    /// they were added or received (`Content-Length` is added on
+    /// write). Lookups scan these few lines: the server never reads
+    /// back the responses it builds, so they keep no index.
     headers: String,
-    /// Where each header's name and value sit in `headers`.
-    spans: Vec<HeaderSpan>,
     /// Response body.
     pub body: Bytes,
+}
+
+/// A header value [`HttpResponse::with_header`] appends as wire text
+/// without going through `fmt`: a string as it is, an integer through
+/// the integer writer.
+pub trait HeaderValue {
+    /// Appends the value to a header line under construction.
+    fn append_to(self, line: &mut String);
+}
+
+impl HeaderValue for &str {
+    fn append_to(self, line: &mut String) {
+        line.push_str(self);
+    }
+}
+
+impl HeaderValue for u64 {
+    fn append_to(self, line: &mut String) {
+        let mut digits = [0; 20];
+        line.extend(
+            decimal(self, &mut digits)
+                .iter()
+                .map(|&digit| char::from(digit)),
+        );
+    }
 }
 
 impl HttpResponse {
@@ -118,20 +160,17 @@ impl HttpResponse {
     pub fn new(status: u16) -> HttpResponse {
         HttpResponse {
             status,
-            headers: String::with_capacity(64),
-            spans: Vec::new(),
+            headers: String::with_capacity(HEAD_CAPACITY),
             body: Bytes::new(),
         }
     }
 
-    /// Adds a header (builder style): one append of its wire line.
-    pub fn with_header(mut self, name: &str, value: impl fmt::Display) -> HttpResponse {
-        let start = self.headers.len();
-        // Writing to a String cannot fail.
-        let _ = write!(self.headers, "{name}: {value}\r\n");
-        let name_end = start + name.len();
-        self.spans
-            .push((start..name_end, name_end + 2..self.headers.len() - 2));
+    /// Adds a header (builder style): appends its wire line.
+    pub fn with_header(mut self, name: &str, value: impl HeaderValue) -> HttpResponse {
+        self.headers.push_str(name);
+        self.headers.push_str(": ");
+        value.append_to(&mut self.headers);
+        self.headers.push_str("\r\n");
         self
     }
 
@@ -141,44 +180,94 @@ impl HttpResponse {
         self
     }
 
-    /// Header value by (case-insensitive) name.
+    /// The header lines as `(name, value)` pairs, each trimmed, in
+    /// order.
+    pub(crate) fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
+        let text = &self.headers;
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            while start < text.len() {
+                let line = &text.as_bytes()[start..];
+                let end = find_byte(line, b'\n').unwrap_or(line.len());
+                let at = start;
+                start += end + 1;
+                if let Some((name, value)) = split_header(&line[..end]) {
+                    return Some((
+                        &text[at + name.start..at + name.end],
+                        &text[at + value.start..at + value.end],
+                    ));
+                }
+            }
+            None
+        })
+    }
+
+    /// Header value by (case-insensitive) name, trimmed.
     pub fn header(&self, name: &str) -> Option<&str> {
-        find_header(&self.headers, &self.spans, name)
+        self.headers()
+            .find(|(key, _)| key.eq_ignore_ascii_case(name))
+            .map(|(_, value)| value)
     }
 
     /// Header value parsed as `u64`.
     pub fn header_u64(&self, name: &str) -> Option<u64> {
-        self.header(name)?.trim().parse().ok()
+        self.header(name)?.parse().ok()
     }
 
-    /// Serializes the response, adding `Content-Length`: the head in
-    /// one write, then the body.
+    /// Serializes the response, adding `Content-Length`: the status
+    /// line from a table, the header lines as they are, then the body.
     pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
-        write!(
-            out,
-            "HTTP/1.1 {} {}\r\n{}Content-Length: {}\r\n\r\n",
-            self.status,
-            status_text(self.status),
-            self.headers,
-            self.body.len()
-        )?;
+        let mut digits = [0; 20];
+        match status_line(self.status) {
+            Some(line) => out.write_all(line.as_bytes())?,
+            None => {
+                out.write_all(b"HTTP/1.1 ")?;
+                out.write_all(decimal(self.status.into(), &mut digits))?;
+                out.write_all(b" Unknown\r\n")?;
+            }
+        }
+        out.write_all(self.headers.as_bytes())?;
+        out.write_all(b"Content-Length: ")?;
+        out.write_all(decimal(self.body.len() as u64, &mut digits))?;
+        out.write_all(b"\r\n\r\n")?;
         out.write_all(&self.body)
     }
 }
 
+/// The status line of each status code the serving layer emits.
+fn status_line(status: u16) -> Option<&'static str> {
+    Some(match status {
+        200 => "HTTP/1.1 200 OK\r\n",
+        400 => "HTTP/1.1 400 Bad Request\r\n",
+        403 => "HTTP/1.1 403 Forbidden\r\n",
+        404 => "HTTP/1.1 404 Not Found\r\n",
+        429 => "HTTP/1.1 429 Too Many Requests\r\n",
+        500 => "HTTP/1.1 500 Internal Server Error\r\n",
+        502 => "HTTP/1.1 502 Bad Gateway\r\n",
+        503 => "HTTP/1.1 503 Service Unavailable\r\n",
+        504 => "HTTP/1.1 504 Gateway Timeout\r\n",
+        _ => return None,
+    })
+}
+
 /// Reason phrase for the status codes the serving layer emits.
 pub fn status_text(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        403 => "Forbidden",
-        404 => "Not Found",
-        429 => "Too Many Requests",
-        500 => "Internal Server Error",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Unknown",
+    status_line(status).map_or("Unknown", |line| {
+        &line["HTTP/1.1 200 ".len()..line.len() - "\r\n".len()]
+    })
+}
+
+/// The integer writer: `n` in decimal, written into the end of
+/// `digits`, and the slice of `digits` that holds it.
+pub(crate) fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &[u8] {
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &digits[start..];
+        }
     }
 }
 
@@ -186,92 +275,164 @@ pub fn status_text(status: u16) -> &'static str {
 /// (client closed a keep-alive connection); an error is a torn,
 /// malformed or oversized request.
 pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<HttpRequest>> {
-    let Some(head) = read_head(reader)? else {
-        return Ok(None);
+    let mut request = HttpRequest {
+        head: String::with_capacity(HEAD_CAPACITY),
+        headers: Vec::with_capacity(8),
+        ..HttpRequest::default()
     };
-    let line = &head.text.as_bytes()[..head.line_end];
-    let method = token(line, 0).ok_or_else(|| malformed("request line"))?;
-    let target = token(line, method.end).ok_or_else(|| malformed("request line"))?;
-    let (path, query) = match head.text[target.clone()].find('?') {
-        Some(at) => (
-            target.start..target.start + at,
-            target.start + at + 1..target.end,
-        ),
-        None => (target.clone(), target.end..target.end),
-    };
-    Ok(Some(HttpRequest {
-        path: head.text[path].to_string(),
-        head: head.text,
+    Ok(read_request_into(reader, &mut request)?.then_some(request))
+}
+
+/// [`read_request`] into a request whose buffers are reused: a
+/// connection reads every request into one. `Ok(false)` is a clean
+/// EOF. After `Ok(false)` or an error, `request` holds no request
+/// worth reading.
+pub(crate) fn read_request_into(
+    reader: &mut impl BufRead,
+    request: &mut HttpRequest,
+) -> io::Result<bool> {
+    let HttpRequest {
+        path,
+        head,
         method,
         query,
-        headers: head.headers,
-    }))
+        headers,
+    } = request;
+    path.clear();
+    headers.clear();
+    *method = 0..0;
+    *query = 0..0;
+    let Some(line_end) = read_head(reader, head, |_, span| headers.push(span))? else {
+        return Ok(false);
+    };
+    let line = &head.as_bytes()[..line_end];
+    *method = token(line, 0).ok_or_else(|| malformed("request line"))?;
+    let target = token(line, method.end).ok_or_else(|| malformed("request line"))?;
+    let path_span = match head[target.clone()].find('?') {
+        Some(at) => {
+            *query = target.start + at + 1..target.end;
+            target.start..target.start + at
+        }
+        None => {
+            *query = target.end..target.end;
+            target
+        }
+    };
+    path.push_str(&head[path_span]);
+    Ok(true)
 }
 
 /// Reads one response (status line, headers, `Content-Length` body).
 pub fn read_response(reader: &mut impl BufRead) -> io::Result<HttpResponse> {
-    let Some(Head {
-        mut text,
-        line_end,
-        mut headers,
-    }) = read_head(reader)?
-    else {
+    let mut response = HttpResponse::new(0);
+    read_response_into(reader, &mut response)?;
+    Ok(response)
+}
+
+/// [`read_response`] into a response whose header buffer is reused: the
+/// replay client reads every response into one. After an error,
+/// `response` holds no response worth reading.
+pub(crate) fn read_response_into(
+    reader: &mut impl BufRead,
+    response: &mut HttpResponse,
+) -> io::Result<()> {
+    let mut length = None;
+    let read = read_head(reader, &mut response.headers, |name, (_, value)| {
+        if length.is_none() && name.eq_ignore_ascii_case(b"content-length") {
+            length = Some(value);
+        }
+    })?;
+    let Some(line_end) = read else {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before response",
         ));
     };
+    let text = &response.headers;
     let line = &text.as_bytes()[..line_end];
-    let status = token(line, 0)
+    response.status = token(line, 0)
         .and_then(|version| token(line, version.end))
         .and_then(|code| text[code].parse::<u16>().ok())
         .ok_or_else(|| malformed("status line"))?;
-    let length: usize = find_header(&text, &headers, "content-length")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(0);
+    // A missing Content-Length is an empty body; one that does not
+    // parse is refused, since its body would be read as the next head.
+    let length: usize = match length {
+        Some(value) => text[value]
+            .parse()
+            .map_err(|_| malformed("Content-Length"))?,
+        None => 0,
+    };
     if length > MAX_BODY_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("Content-Length {length} over the {MAX_BODY_BYTES}-byte limit"),
         ));
     }
-    let mut body = vec![0u8; length];
-    reader.read_exact(&mut body)?;
     // What stays is the header lines, exactly as received.
-    let shift = text.find('\n').map_or(text.len(), |at| at + 1);
-    text.drain(..shift);
-    for (name, value) in &mut headers {
-        *name = name.start - shift..name.end - shift;
-        *value = value.start - shift..value.end - shift;
-    }
-    Ok(HttpResponse {
-        status,
-        headers: text,
-        spans: headers,
-        body: Bytes::from(body),
-    })
+    let shift = find_byte(text.as_bytes(), b'\n').map_or(text.len(), |at| at + 1);
+    response.headers.drain(..shift);
+    response.body = read_body(reader, length)?;
+    Ok(())
 }
 
-/// A head read off the wire, in one buffer.
-struct Head {
-    /// The start line and the header lines, the blank line excluded.
-    text: String,
-    /// End of the start line's content, its line ending excluded.
-    line_end: usize,
-    /// Where each header's trimmed name and value sit in `text`.
-    headers: Vec<HeaderSpan>,
+/// Reads a `length`-byte body. A body already whole in the reader's
+/// buffer is copied once, from there into the `Bytes`. An empty body
+/// never asks the reader for bytes, so a `Content-Length: 0` response
+/// cannot wait on bytes that are not coming.
+fn read_body(reader: &mut impl BufRead, length: usize) -> io::Result<Bytes> {
+    if length == 0 {
+        return Ok(Bytes::new());
+    }
+    if let Some(body) = reader.fill_buf()?.get(..length) {
+        let body = Bytes::from(body);
+        reader.consume(length);
+        return Ok(body);
+    }
+    let mut body = vec![0; length];
+    reader.read_exact(&mut body)?;
+    Ok(Bytes::from(body))
 }
 
 /// Reads one head — a start line, then header lines, through the blank
-/// line that ends them — into one buffer, and parses it in the same
-/// single pass over the reader's bytes: each line is copied once and
-/// split once, and no byte past the blank line is consumed. Lines may
-/// end in CRLF or a bare LF. `None` is a clean EOF before any byte.
-fn read_head(reader: &mut impl BufRead) -> io::Result<Option<Head>> {
-    let mut text = Vec::with_capacity(256);
-    let mut headers = Vec::with_capacity(8);
-    let mut line_start = 0;
-    let mut line_end = None;
+/// line that ends them — into `head`, reusing its buffer, and parses it
+/// in the same single pass over the reader's bytes: each line is split
+/// where it sits in the reader's buffer, the lines are copied with one
+/// append per buffer fill, and no byte past the blank line is consumed.
+/// Lines may end in CRLF or a bare LF. Each header's trimmed name goes
+/// to `on_header` with the spans of its name and value in `head`.
+/// Returns where the start line's content ends; `None` is a clean EOF
+/// before any byte.
+fn read_head(
+    reader: &mut impl BufRead,
+    head: &mut String,
+    mut on_header: impl FnMut(&[u8], HeaderSpan),
+) -> io::Result<Option<usize>> {
+    let mut text = std::mem::take(head).into_bytes();
+    text.clear();
+    let mut start_line_end = None;
+    // Splits one complete line, which starts at `at` in `text`; true
+    // when it is the blank line that ends the head.
+    let mut split = |line: &[u8], at: usize| -> io::Result<bool> {
+        let content = line.trim_ascii_end();
+        if content.is_empty() {
+            return Ok(true);
+        }
+        if start_line_end.is_none() {
+            start_line_end = Some(at + content.len());
+        } else {
+            let (name, value) = split_header(content).ok_or_else(|| malformed("header"))?;
+            on_header(
+                &content[name.clone()],
+                (
+                    at + name.start..at + name.end,
+                    at + value.start..at + value.end,
+                ),
+            );
+        }
+        Ok(false)
+    };
+    // Bytes at the end of `text` that start a line not yet complete.
+    let mut partial = 0;
     loop {
         let chunk = reader.fill_buf()?;
         if chunk.is_empty() {
@@ -281,60 +442,111 @@ fn read_head(reader: &mut impl BufRead) -> io::Result<Option<Head>> {
                 Err(malformed("head: truncated"))
             };
         }
-        let mut used = 0;
-        let mut ended = false;
-        while let Some(at) = chunk[used..].iter().position(|&b| b == b'\n') {
-            append(&mut text, &chunk[used..=used + at])?;
-            used += at + 1;
-            let end = line_start + text[line_start..].trim_ascii_end().len();
-            if end == line_start {
+        let mut from = 0;
+        if partial > 0 {
+            // A line begun in an earlier fill is completed in `text`.
+            let Some(at) = find_byte(chunk, b'\n') else {
+                append(&mut text, chunk)?;
+                partial += chunk.len();
+                let len = chunk.len();
+                reader.consume(len);
+                continue;
+            };
+            append(&mut text, &chunk[..=at])?;
+            let line_start = text.len() - partial - (at + 1);
+            from = at + 1;
+            if split(&text[line_start..], line_start)? {
                 text.truncate(line_start);
-                ended = true;
+                reader.consume(from);
                 break;
             }
-            if line_end.is_none() {
-                line_end = Some(end);
-            } else {
-                let colon = text[line_start..end]
-                    .iter()
-                    .position(|&b| b == b':')
-                    .ok_or_else(|| malformed("header"))?;
-                headers.push((
-                    trimmed(&text, line_start..line_start + colon),
-                    trimmed(&text, line_start + colon + 1..end),
-                ));
+        }
+        // Every other line of this fill is split in place and copied
+        // with the rest in one append.
+        let base = text.len() - from;
+        let mut line_start = from;
+        let mut ended = None;
+        while let Some(at) = find_byte(&chunk[line_start..], b'\n') {
+            let line_end = line_start + at + 1;
+            if base + line_end > MAX_HEAD_BYTES {
+                return Err(over_head_limit());
             }
-            line_start = text.len();
+            if split(&chunk[line_start..line_end], base + line_start)? {
+                ended = Some(line_end);
+                break;
+            }
+            line_start = line_end;
         }
-        if !ended {
-            append(&mut text, &chunk[used..])?;
-            used = chunk.len();
-        }
-        reader.consume(used);
-        if ended {
-            break;
+        match ended {
+            Some(end) => {
+                append(&mut text, &chunk[from..line_start])?;
+                reader.consume(end);
+                break;
+            }
+            None => {
+                append(&mut text, &chunk[from..])?;
+                partial = chunk.len() - line_start;
+                let len = chunk.len();
+                reader.consume(len);
+            }
         }
     }
-    let line_end = line_end.ok_or_else(|| malformed("start line"))?;
-    let text = String::from_utf8(text).map_err(|_| malformed("head: not UTF-8"))?;
-    Ok(Some(Head {
-        text,
-        line_end,
-        headers,
-    }))
+    let line_end = start_line_end.ok_or_else(|| malformed("start line"))?;
+    *head = String::from_utf8(text).map_err(|_| malformed("head: not UTF-8"))?;
+    Ok(Some(line_end))
 }
 
 /// Appends `bytes` to a head under construction, refusing to grow it
 /// past [`MAX_HEAD_BYTES`].
 fn append(head: &mut Vec<u8>, bytes: &[u8]) -> io::Result<()> {
     if head.len() + bytes.len() > MAX_HEAD_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("head over the {MAX_HEAD_BYTES}-byte limit"),
-        ));
+        return Err(over_head_limit());
     }
     head.extend_from_slice(bytes);
     Ok(())
+}
+
+fn over_head_limit() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("head over the {MAX_HEAD_BYTES}-byte limit"),
+    )
+}
+
+/// Index of the first `byte` in `bytes`, searched a word at a time: a
+/// word's bytes are XORed with `byte`, and the classic has-zero-byte
+/// test flags the zeroed ones. Its lowest flag is exact (only bytes
+/// above a real zero can be flagged falsely), so the first match is the
+/// lowest flagged byte.
+#[inline]
+fn find_byte(bytes: &[u8], byte: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let needles = u64::from_le_bytes([byte; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (index, word) in words.by_ref().enumerate() {
+        let mut le = [0; 8];
+        le.copy_from_slice(word);
+        let zeroed = u64::from_le_bytes(le) ^ needles;
+        let flags = zeroed.wrapping_sub(ONES) & !zeroed & HIGHS;
+        if flags != 0 {
+            return Some(index * 8 + flags.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = tail.iter().position(|&b| b == byte)?;
+    Some(bytes.len() - tail.len() + at)
+}
+
+/// Splits a header line's content at its first colon into the spans of
+/// its trimmed name and value, relative to the line. `None` when the
+/// line has no colon.
+fn split_header(line: &[u8]) -> Option<HeaderSpan> {
+    let colon = find_byte(line, b':')?;
+    Some((
+        trimmed(line, 0..colon),
+        trimmed(line, colon + 1..line.len()),
+    ))
 }
 
 /// `span` of `text` without its leading and trailing ASCII whitespace.
@@ -359,15 +571,6 @@ fn token(line: &[u8], from: usize) -> Option<Range<usize>> {
     Some(start..end)
 }
 
-/// The value of the first header in `spans` whose name is `name`,
-/// compared ASCII case-insensitively.
-fn find_header<'a>(text: &'a str, spans: &[HeaderSpan], name: &str) -> Option<&'a str> {
-    spans
-        .iter()
-        .find(|(key, _)| text[key.clone()].eq_ignore_ascii_case(name))
-        .map(|(_, value)| &text[value.clone()])
-}
-
 fn malformed(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("malformed {what}"))
 }
@@ -376,7 +579,11 @@ fn malformed(what: &str) -> io::Error {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn request_round_trip() {
@@ -402,8 +609,8 @@ mod tests {
     #[test]
     fn response_round_trip() {
         let response = HttpResponse::new(503)
-            .with_header("Retry-After", 2)
-            .with_header("X-Retry-After-Ms", 1500)
+            .with_header("Retry-After", 2u64)
+            .with_header("X-Retry-After-Ms", 1500u64)
             .with_body("shed".to_string());
         let mut wire = Vec::new();
         response.write_to(&mut wire).unwrap();
@@ -443,6 +650,167 @@ mod tests {
         for capacity in [1, 2, 7, 13] {
             let small = read_all(&mut BufReader::with_capacity(capacity, PIPELINED));
             assert_eq!(small, whole, "capacity {capacity}");
+            // One reused request reads the same stream the same way.
+            let mut reader = BufReader::with_capacity(capacity, PIPELINED);
+            let mut request = HttpRequest::default();
+            for expected in &whole {
+                assert!(read_request_into(&mut reader, &mut request).unwrap());
+                assert_eq!(&request, expected, "capacity {capacity}");
+            }
+            assert!(!read_request_into(&mut reader, &mut request).unwrap());
+        }
+    }
+
+    /// Four pipelined responses: an empty body, a one-byte body, a
+    /// body longer than every small buffer below, and no
+    /// `Content-Length` at all.
+    fn pipelined_responses() -> Vec<u8> {
+        let mut wire = Vec::new();
+        let long = "x".repeat(300);
+        for response in [
+            HttpResponse::new(503).with_header("Retry-After", 1u64),
+            HttpResponse::new(200)
+                .with_header("X-Source", "edge")
+                .with_body("!".to_string()),
+            HttpResponse::new(200)
+                .with_header("X-Virtual-Ms", 81u64)
+                .with_body(long),
+        ] {
+            response.write_to(&mut wire).unwrap();
+        }
+        wire.extend_from_slice(b"HTTP/1.1 404 Not Found\r\nX-Source: edge\r\n\r\n");
+        wire
+    }
+
+    #[test]
+    fn bodies_straddling_buffer_refills_read_like_whole_ones() {
+        let wire = pipelined_responses();
+        let read_four = |reader: &mut dyn BufRead| -> Vec<HttpResponse> {
+            (0..4)
+                .map(|_| read_response(&mut &mut *reader).unwrap())
+                .collect()
+        };
+        let whole = read_four(&mut BufReader::with_capacity(
+            IO_BUFFER_BYTES,
+            wire.as_slice(),
+        ));
+        assert_eq!(
+            whole
+                .iter()
+                .map(|r| (r.status, r.body.len()))
+                .collect::<Vec<_>>(),
+            [(503, 0), (200, 1), (200, 300), (404, 0)]
+        );
+        assert_eq!(whole[2].header_u64("x-virtual-ms"), Some(81));
+        for capacity in [1, 7, 13] {
+            let small = read_four(&mut BufReader::with_capacity(capacity, wire.as_slice()));
+            assert_eq!(small, whole, "capacity {capacity}");
+            // One reused response reads the same stream the same way.
+            let mut reader = BufReader::with_capacity(capacity, wire.as_slice());
+            let mut response = HttpResponse::new(0);
+            for expected in &whole {
+                read_response_into(&mut reader, &mut response).unwrap();
+                assert_eq!(&response, expected, "capacity {capacity}");
+            }
+        }
+    }
+
+    #[test]
+    fn unparsable_content_length_is_refused_not_read_as_the_next_head() {
+        for length in ["12x", "", "-1", "0x10", "1 2", "18446744073709551616"] {
+            let mut wire =
+                format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\nhello").into_bytes();
+            HttpResponse::new(404).write_to(&mut wire).unwrap();
+            let mut reader = wire.as_slice();
+            let error = read_response(&mut reader).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{length:?}");
+        }
+    }
+
+    #[test]
+    fn empty_bodies_never_wait_for_more_bytes_on_a_live_socket() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (read_one, wait) = mpsc::channel::<()>();
+        std::thread::scope(move |scope| {
+            scope.spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                // Each response goes out alone, and the connection stays
+                // open until the client has read it: a reader that asks
+                // for more bytes than the head times out below. A client
+                // that fails drops `read_one`, which ends this thread.
+                HttpResponse::new(503)
+                    .with_header("Retry-After", 1u64)
+                    .write_to(&mut stream)
+                    .unwrap();
+                if wait.recv().is_ok() {
+                    stream
+                        .write_all(b"HTTP/1.1 404 Not Found\r\nX-Source: edge\r\n\r\n")
+                        .unwrap();
+                    let _ = wait.recv();
+                }
+            });
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut reader = BufReader::new(stream);
+            let shed = read_response(&mut reader).unwrap();
+            assert_eq!((shed.status, shed.body.len()), (503, 0));
+            read_one.send(()).unwrap();
+            let missing = read_response(&mut reader).unwrap();
+            assert_eq!((missing.status, missing.body.len()), (404, 0));
+            read_one.send(()).unwrap();
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn integer_writer_matches_to_string(n in any::<u64>(), digits in 0u32..20) {
+            let mut buf = [0; 20];
+            for value in [n, n % 10u64.pow(digits), 0, u64::MAX] {
+                prop_assert_eq!(decimal(value, &mut buf), value.to_string().as_bytes());
+            }
+        }
+
+        #[test]
+        fn byte_search_matches_position_on_random_bytes(
+            bytes in proptest::collection::vec(0u8..16, 0..64),
+            offset in 0usize..8,
+        ) {
+            // Mostly control bytes, so newlines and near misses are common.
+            let bytes = &bytes[offset.min(bytes.len())..];
+            for byte in [b'\n', b':'] {
+                let expected = bytes.iter().position(|&b| b == byte);
+                prop_assert_eq!(find_byte(bytes, byte), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn newline_search_matches_position_at_every_length_and_place() {
+        // Fillers next to `\n` in value, and high bytes whose low bits
+        // match it, are where a word-at-a-time test could misfire.
+        for filler in [0x00, 0x09, 0x0b, 0x0d, 0x1a, 0x7f, 0x80, 0x8a, 0xff] {
+            for len in 0..=24 {
+                let mut bytes = vec![filler; len];
+                assert_eq!(
+                    find_byte(&bytes, b'\n'),
+                    None,
+                    "len {len} filler {filler:#x}"
+                );
+                for at in 0..len {
+                    bytes[at] = b'\n';
+                    let expected = bytes.iter().position(|&b| b == b'\n');
+                    assert_eq!(find_byte(&bytes, b'\n'), expected, "len {len} at {at}");
+                    // A later newline must not win over this one.
+                    bytes[len - 1] = b'\n';
+                    assert_eq!(find_byte(&bytes, b'\n'), Some(at), "len {len} at {at}");
+                    bytes.fill(filler);
+                }
+            }
         }
     }
 
@@ -455,9 +823,21 @@ mod tests {
         }
         assert_eq!(request.header("X-Source"), Some("edge"));
         assert_eq!(request.header("x-sourc"), None);
-        let response = HttpResponse::new(200).with_header("X-Virtual-Ms", 81);
+        let response = HttpResponse::new(200).with_header("X-Virtual-Ms", 81u64);
         assert_eq!(response.header_u64("x-virtual-ms"), Some(81));
         assert_eq!(response.header("X-VIRTUAL-MS"), Some("81"));
+        let raw = b"HTTP/1.1 200 OK\r\n x-source :edge \r\nX-Source: backing\r\nX-Empty:\r\n\r\n";
+        let response = read_response(&mut &raw[..]).unwrap();
+        assert_eq!(
+            response.headers().collect::<Vec<_>>(),
+            [
+                ("x-source", "edge"),
+                ("X-Source", "backing"),
+                ("X-Empty", "")
+            ]
+        );
+        assert_eq!(response.header("X-SOURCE"), Some("edge"));
+        assert_eq!(response.header("x-empty"), Some(""));
     }
 
     #[test]
@@ -534,6 +914,30 @@ mod tests {
 
     /// The server's responses, byte for byte as the serializer wrote
     /// them before heads were kept as wire text.
+    #[test]
+    fn status_lines_come_from_the_table_and_unknown_codes_still_serialize() {
+        for (status, reason) in [
+            (200, "OK"),
+            (400, "Bad Request"),
+            (403, "Forbidden"),
+            (404, "Not Found"),
+            (429, "Too Many Requests"),
+            (500, "Internal Server Error"),
+            (502, "Bad Gateway"),
+            (503, "Service Unavailable"),
+            (504, "Gateway Timeout"),
+            (418, "Unknown"),
+            (0, "Unknown"),
+            (u16::MAX, "Unknown"),
+        ] {
+            assert_eq!(status_text(status), reason);
+            assert_eq!(
+                wire(&HttpResponse::new(status)),
+                format!("HTTP/1.1 {status} {reason}\r\nContent-Length: 0\r\n\r\n")
+            );
+        }
+    }
+
     #[test]
     fn wire_bytes_of_served_responses_are_pinned() {
         let edge_page = HttpResponse::new(200)

@@ -30,13 +30,13 @@
 //! every completed request also feeds a [`SloMonitor`] grading
 //! availability and p99 objectives over rolling virtual-time windows.
 
-use crate::http::{read_response, HttpResponse, IO_BUFFER_BYTES};
+use crate::http::{decimal, read_response_into, HttpResponse, IO_BUFFER_BYTES};
 use crate::server::TRACE_SAMPLE_EVERY;
 use crate::slo::{SloMonitor, SloPolicy, SloSummary};
 use appstore_core::backoff::{BackoffSchedule, RetryBudget};
 use appstore_core::{DownloadEvent, Seed};
 use appstore_obs::{names, LogLinearHistogram};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// A named request stream derived from a download trace.
@@ -218,47 +218,98 @@ fn retryable(status: u16) -> bool {
     matches!(status, 429 | 500 | 502 | 503 | 504)
 }
 
-fn op_target(op: Op) -> (String, u32) {
+/// Appends `op`'s request target and returns the client it goes out as.
+fn push_target(out: &mut Vec<u8>, op: Op) -> u32 {
+    let mut digits = [0; 20];
     match op {
-        Op::App { client, app } => (format!("/app?id={app}"), client),
-        Op::Rankings => ("/rankings".to_string(), 0),
-        Op::Download { app } => (format!("/download?app={app}"), 0),
+        Op::App { client, app } => {
+            out.extend_from_slice(b"/app?id=");
+            out.extend_from_slice(decimal(app.into(), &mut digits));
+            client
+        }
+        Op::Rankings => {
+            out.extend_from_slice(b"/rankings");
+            0
+        }
+        Op::Download { app } => {
+            out.extend_from_slice(b"/download?app=");
+            out.extend_from_slice(decimal(app.into(), &mut digits));
+            0
+        }
     }
 }
 
-fn write_op(
-    writer: &mut impl Write,
-    op: Op,
-    now_ms: u64,
-    deadline_ms: u64,
-    trace_id: u64,
-) -> io::Result<()> {
-    let (target, client) = op_target(op);
-    write!(
-        writer,
-        "GET {target} HTTP/1.1\r\nX-Client: {client}\r\nX-Now-Ms: {now_ms}\r\nX-Deadline-Ms: {deadline_ms}\r\nX-Trace-Id: {trace_id}\r\nX-Parent-Span: client-{trace_id}\r\n\r\n"
-    )
+/// Appends `op`'s request head to `out`: byte appends, with the
+/// numbers written by the integer writer.
+fn write_op(out: &mut Vec<u8>, op: Op, now_ms: u64, deadline_ms: u64, trace_id: u64) {
+    let mut digits = [0; 20];
+    out.extend_from_slice(b"GET ");
+    let client = push_target(out, op);
+    for (name, value) in [
+        (&b" HTTP/1.1\r\nX-Client: "[..], client.into()),
+        (b"\r\nX-Now-Ms: ", now_ms),
+        (b"\r\nX-Deadline-Ms: ", deadline_ms),
+        (b"\r\nX-Trace-Id: ", trace_id),
+        (b"\r\nX-Parent-Span: client-", trace_id),
+    ] {
+        out.extend_from_slice(name);
+        out.extend_from_slice(decimal(value, &mut digits));
+    }
+    out.extend_from_slice(b"\r\n\r\n");
 }
 
-fn record(stats: &mut ReplayStats, op: Op, response: &HttpResponse) {
-    if let Some(latency) = response.header_u64("x-virtual-ms") {
+/// Sends the requests written to `wire` and empties it for the next.
+fn send(stream: &mut TcpStream, wire: &mut Vec<u8>) -> io::Result<()> {
+    stream.write_all(wire)?;
+    wire.clear();
+    Ok(())
+}
+
+/// Accounts one completed request: the client-side counters, the SLO
+/// monitor (if enabled, on the virtual clock the request was stamped
+/// with) and the client leg of its trace. One pass over the header
+/// lines picks out the resilience headers; as with
+/// [`HttpResponse::header`], the first of a repeated header counts.
+fn complete(
+    stats: &mut ReplayStats,
+    monitor: &mut Option<SloMonitor>,
+    op: Op,
+    trace_id: u64,
+    sent_ms: u64,
+    response: &HttpResponse,
+) {
+    let (mut virtual_ms, mut degraded, mut source) = (None, None, None);
+    for (name, value) in response.headers() {
+        let seen = if name.eq_ignore_ascii_case("x-virtual-ms") {
+            &mut virtual_ms
+        } else if name.eq_ignore_ascii_case("x-degraded") {
+            &mut degraded
+        } else if name.eq_ignore_ascii_case("x-source") {
+            &mut source
+        } else {
+            continue;
+        };
+        seen.get_or_insert(value);
+    }
+    let virtual_ms = virtual_ms.and_then(|value| value.parse::<u64>().ok());
+    if let Some(latency) = virtual_ms {
         stats.latencies_virtual_ms.push(latency);
     }
-    if response.header("x-degraded") == Some("panic") {
+    if degraded == Some("panic") {
         stats.panics_seen += 1;
     }
     match response.status {
         200 => match op {
             Op::App { .. } => {
                 stats.app_ok += 1;
-                if response.header("x-source") == Some("edge") {
+                if source == Some("edge") {
                     stats.app_edge_hits += 1;
                 } else {
                     stats.app_backing += 1;
                 }
             }
             Op::Rankings => {
-                if response.header("x-degraded") == Some("stale") {
+                if degraded == Some("stale") {
                     stats.rankings_stale += 1;
                 } else {
                     stats.rankings_fresh += 1;
@@ -273,18 +324,10 @@ fn record(stats: &mut ReplayStats, op: Op, response: &HttpResponse) {
         404 => stats.not_found += 1,
         _ => {}
     }
-}
-
-/// Feeds one completed request into the SLO monitor (if enabled), on
-/// the virtual clock the request was stamped with.
-fn observe_slo(monitor: &mut Option<SloMonitor>, sent_ms: u64, response: &HttpResponse) {
     if let Some(monitor) = monitor {
-        monitor.observe(
-            sent_ms,
-            response.status,
-            response.header_u64("x-virtual-ms").unwrap_or(0),
-        );
+        monitor.observe(sent_ms, response.status, virtual_ms.unwrap_or(0));
     }
+    trace_client(op, trace_id, sent_ms, response.status, degraded);
 }
 
 /// Emits the client-side leg of the cross-tier trace: a
@@ -292,19 +335,19 @@ fn observe_slo(monitor: &mut Option<SloMonitor>, sent_ms: u64, response: &HttpRe
 /// id, using the same deterministic gate as the server (sampled id, or
 /// anything degraded/erroring), so client and server legs always
 /// stitch for the same requests.
-fn trace_client(op: Op, trace_id: u64, sent_ms: u64, response: &HttpResponse) {
-    let degraded = response.header("x-degraded");
-    if !trace_id.is_multiple_of(TRACE_SAMPLE_EVERY) && response.status < 500 && degraded.is_none() {
+fn trace_client(op: Op, trace_id: u64, sent_ms: u64, status: u16, degraded: Option<&str>) {
+    if !trace_id.is_multiple_of(TRACE_SAMPLE_EVERY) && status < 500 && degraded.is_none() {
         return;
     }
-    let (target, _) = op_target(op);
+    let mut target = Vec::new();
+    push_target(&mut target, op);
     appstore_obs::with_track(trace_id, || {
         appstore_obs::span_args(
             names::SPAN_SERVE_CLIENT,
             &[
                 ("trace_id", &trace_id.to_string()),
-                ("target", &target),
-                ("status", &response.status.to_string()),
+                ("target", &String::from_utf8_lossy(&target)),
+                ("status", &status.to_string()),
                 ("degraded", degraded.unwrap_or("")),
                 ("now_ms", &sent_ms.to_string()),
             ],
@@ -322,10 +365,9 @@ pub fn replay(
     workload: &Workload,
     config: &ReplayConfig,
 ) -> io::Result<ReplayStats> {
-    let stream = TcpStream::connect(addr)?;
+    let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     let mut reader = BufReader::with_capacity(IO_BUFFER_BYTES, stream.try_clone()?);
-    let mut writer = BufWriter::with_capacity(IO_BUFFER_BYTES, stream);
 
     let mut ops = Vec::with_capacity(workload.events.len() + workload.events.len() / 16);
     for (i, &(client, app)) in workload.events.iter().enumerate() {
@@ -344,57 +386,59 @@ pub fn replay(
     let mut stats = ReplayStats::default();
     let mut monitor = config.slo.clone().map(SloMonitor::new);
     let mut clock_ms = 0u64;
+    // The request bytes, the response head and the batch ledgers are
+    // reused for the whole replay.
+    let mut wire = Vec::with_capacity(IO_BUFFER_BYTES);
+    let mut response = HttpResponse::new(0);
+    let mut pending = Vec::with_capacity(config.batch.max(1));
+    let mut retry_queue = Vec::new();
 
     for batch in ops.chunks(config.batch.max(1)) {
-        // Pipeline the whole batch: stamp, write, flush once.
-        let mut pending = Vec::with_capacity(batch.len());
+        // Pipeline the whole batch: stamp, write, send once.
         for &op in batch {
             clock_ms += step_ms;
             budget.deposit();
             let trace_id = config.trace_base + stats.requests_sent;
-            write_op(&mut writer, op, clock_ms, config.deadline_ms, trace_id)?;
+            write_op(&mut wire, op, clock_ms, config.deadline_ms, trace_id);
             stats.requests_sent += 1;
             pending.push((op, clock_ms, trace_id));
         }
-        writer.flush()?;
+        send(&mut stream, &mut wire)?;
         // Read the batch back in order; queue failures for retry only
         // after the batch is fully drained (a mid-batch resend would
         // interleave with responses still in flight).
-        let mut retry_queue = Vec::new();
-        for (op, sent_ms, trace_id) in pending {
-            let response = read_response(&mut reader)?;
-            record(&mut stats, op, &response);
-            observe_slo(&mut monitor, sent_ms, &response);
-            trace_client(op, trace_id, sent_ms, &response);
+        for (op, sent_ms, trace_id) in pending.drain(..) {
+            read_response_into(&mut reader, &mut response)?;
+            complete(&mut stats, &mut monitor, op, trace_id, sent_ms, &response);
             if retryable(response.status) {
-                retry_queue.push((op, response));
+                let hinted = response.header_u64("x-retry-after-ms").unwrap_or(0);
+                retry_queue.push((op, response.status, hinted));
             }
         }
-        for (op, mut response) in retry_queue {
+        for (op, mut status, mut hinted) in retry_queue.drain(..) {
             let mut attempt = 0;
-            while retryable(response.status) && attempt < config.max_attempts {
+            while retryable(status) && attempt < config.max_attempts {
                 if !budget.try_spend() {
                     stats.retries_denied += 1;
                     break;
                 }
                 // Honor the server's backpressure hint, then add the
                 // jittered backoff on top.
-                let hinted = response.header_u64("x-retry-after-ms").unwrap_or(0);
                 clock_ms = clock_ms
                     .saturating_add(hinted)
                     .saturating_add(schedule.delay_ms(attempt));
                 let trace_id = config.trace_base + stats.requests_sent;
-                write_op(&mut writer, op, clock_ms, config.deadline_ms, trace_id)?;
-                writer.flush()?;
+                write_op(&mut wire, op, clock_ms, config.deadline_ms, trace_id);
+                send(&mut stream, &mut wire)?;
                 stats.requests_sent += 1;
                 stats.retries += 1;
-                response = read_response(&mut reader)?;
-                record(&mut stats, op, &response);
-                observe_slo(&mut monitor, clock_ms, &response);
-                trace_client(op, trace_id, clock_ms, &response);
+                read_response_into(&mut reader, &mut response)?;
+                complete(&mut stats, &mut monitor, op, trace_id, clock_ms, &response);
+                status = response.status;
+                hinted = response.header_u64("x-retry-after-ms").unwrap_or(0);
                 attempt += 1;
             }
-            if retryable(response.status) {
+            if retryable(status) {
                 stats.exhausted += 1;
             }
         }
@@ -461,6 +505,40 @@ mod tests {
     use crate::SITE_SERVE_HANDLER;
     use appstore_core::faults::{with_injector, FaultInjector, FaultKind, FaultPlan, FaultTrigger};
     use appstore_core::{AppId, Day, UserId};
+    use proptest::prelude::*;
+
+    /// The reference rendering of a request head, with `format!`: the
+    /// byte appends must reproduce it exactly.
+    fn formatted(op: Op, now_ms: u64, deadline_ms: u64, trace_id: u64) -> String {
+        let (target, client) = match op {
+            Op::App { client, app } => (format!("/app?id={app}"), client),
+            Op::Rankings => ("/rankings".to_string(), 0),
+            Op::Download { app } => (format!("/download?app={app}"), 0),
+        };
+        format!(
+            "GET {target} HTTP/1.1\r\nX-Client: {client}\r\nX-Now-Ms: {now_ms}\r\nX-Deadline-Ms: {deadline_ms}\r\nX-Trace-Id: {trace_id}\r\nX-Parent-Span: client-{trace_id}\r\n\r\n"
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn request_bytes_match_the_formatted_text(
+            kind in 0u8..3,
+            ids in (any::<u32>(), any::<u32>()),
+            clock in (any::<u64>(), any::<u64>(), any::<u64>()),
+            edge in 0usize..3,
+        ) {
+            let (client, app) = [ids, (0, 0), (u32::MAX, u32::MAX)][edge];
+            let op = [Op::App { client, app }, Op::Rankings, Op::Download { app }][kind as usize];
+            let (now_ms, deadline_ms, trace_id) = [clock, (0, 0, 0), (u64::MAX, u64::MAX, u64::MAX)][edge];
+            let mut wire = b"previous request".to_vec();
+            write_op(&mut wire, op, now_ms, deadline_ms, trace_id);
+            let expected = formatted(op, now_ms, deadline_ms, trace_id);
+            prop_assert_eq!(&wire[b"previous request".len()..], expected.as_bytes());
+        }
+    }
 
     fn trace(pairs: &[(u32, u32)]) -> Vec<DownloadEvent> {
         pairs

@@ -42,7 +42,7 @@ use crate::balancer::{BackingTier, TierError as BackingError};
 use crate::deadline::Deadline;
 use crate::edge::{EdgeCache, RankingsView};
 use crate::hedge::HedgePolicy;
-use crate::http::{read_request, HttpRequest, HttpResponse, IO_BUFFER_BYTES};
+use crate::http::{read_request_into, HttpRequest, HttpResponse, IO_BUFFER_BYTES};
 use crate::queue::{AdmissionPolicy, BoundedQueue};
 use crate::telemetry::{self, HealthState, StatusSnapshot};
 use crate::SITE_SERVE_HANDLER;
@@ -419,7 +419,7 @@ fn app_page(
             )
         }
         Err(BackingError::Failed) => degrade(HttpResponse::new(502), "backing-failed", notes)
-            .with_header("X-Retry-After-Ms", 100),
+            .with_header("X-Retry-After-Ms", 100u64),
         Err(BackingError::Deadline) => {
             appstore_obs::counter(names::SERVE_SHEDS_DEADLINE, 1);
             shed(504, "deadline", 1_000, notes)
@@ -799,7 +799,8 @@ fn guarded_handle(shared: &Shared<'_>, request: &HttpRequest) -> HttpResponse {
 }
 
 /// Serves one connection until EOF, flushing pipelined batches of
-/// responses together.
+/// responses together. Every request is read into one reused
+/// [`HttpRequest`].
 fn handle_connection(shared: &Shared<'_>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
@@ -807,19 +808,20 @@ fn handle_connection(shared: &Shared<'_>, stream: TcpStream) {
     };
     let mut reader = BufReader::with_capacity(IO_BUFFER_BYTES, read_half);
     let mut writer = BufWriter::with_capacity(IO_BUFFER_BYTES, stream);
+    let mut request = HttpRequest::default();
     loop {
         // About to block for input: push out everything pending first.
         if reader.buffer().is_empty() && writer.flush().is_err() {
             return;
         }
-        match read_request(&mut reader) {
-            Ok(Some(request)) => {
+        match read_request_into(&mut reader, &mut request) {
+            Ok(true) => {
                 let response = guarded_handle(shared, &request);
                 if response.write_to(&mut writer).is_err() {
                     return;
                 }
             }
-            Ok(None) | Err(_) => break,
+            Ok(false) | Err(_) => break,
         }
     }
     let _ = writer.flush();
