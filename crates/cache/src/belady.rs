@@ -10,8 +10,9 @@
 //! occurrence of the same app (one backward pass), then keeps the cached
 //! set in a max-heap keyed by next-use position — O(n log n) overall.
 
+use crate::hash::IdMap;
 use appstore_core::DownloadEvent;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Result of an optimal replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +47,7 @@ pub fn belady_hit_ratio(capacity: usize, warm_start: &[u32], trace: &[DownloadEv
     let n = trace.len();
     // next_use[i] = position of the next request for trace[i]'s app.
     let mut next_use = vec![NEVER; n];
-    let mut last_seen: HashMap<u32, usize> = HashMap::new();
+    let mut last_seen: IdMap<u32, usize> = IdMap::default();
     for i in (0..n).rev() {
         let app = trace[i].app.0;
         next_use[i] = last_seen.get(&app).map(|&j| j as u64).unwrap_or(NEVER);
@@ -57,7 +58,7 @@ pub fn belady_hit_ratio(capacity: usize, warm_start: &[u32], trace: &[DownloadEv
 
     // Cached set: app -> valid next-use key; heap of (key, app) with lazy
     // invalidation.
-    let mut cached: HashMap<u32, u64> = HashMap::with_capacity(capacity);
+    let mut cached: IdMap<u32, u64> = IdMap::with_capacity_and_hasher(capacity, Default::default());
     let mut heap: BinaryHeap<(u64, u32)> = BinaryHeap::with_capacity(capacity * 2);
     for &app in warm_start.iter().take(capacity) {
         let key = first_use.get(&app).map(|&i| i as u64).unwrap_or(NEVER);

@@ -25,6 +25,7 @@
 
 pub mod belady;
 pub mod experiment;
+mod hash;
 pub mod policy;
 pub mod prefetch;
 

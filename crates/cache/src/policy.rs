@@ -7,10 +7,10 @@
 //! it hit, evicting per policy when full.
 //!
 //! The LRU implementation is an intrusive doubly-linked list over a slab
-//! with a `HashMap` index — O(1) per access, no allocations after
+//! with an integer-hashed index — O(1) per access, no allocations after
 //! warmup — because Fig. 19 pushes millions of requests through it.
 
-use std::collections::HashMap;
+use crate::hash::IdMap;
 
 /// A cache replacement policy over unit-size apps.
 pub trait ReplacementPolicy {
@@ -88,7 +88,7 @@ struct LruList {
     free: Vec<u32>,
     head: u32,
     tail: u32,
-    index: HashMap<u32, u32>, // app -> node slot
+    index: IdMap<u32, u32>, // app -> node slot
 }
 
 impl LruList {
@@ -98,7 +98,7 @@ impl LruList {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            index: HashMap::with_capacity(capacity),
+            index: IdMap::with_capacity_and_hasher(capacity, Default::default()),
         }
     }
 
@@ -383,9 +383,9 @@ impl ReplacementPolicy for Fifo {
 #[derive(Debug, Clone)]
 pub struct Lfu {
     capacity: usize,
-    counts: HashMap<u32, u64>,
+    counts: IdMap<u32, u64>,
     /// frequency -> LRU list of apps at that frequency.
-    buckets: HashMap<u64, LruList>,
+    buckets: IdMap<u64, LruList>,
     min_freq: u64,
     evictions: u64,
 }
@@ -399,8 +399,8 @@ impl Lfu {
         assert!(capacity > 0, "cache capacity must be positive");
         Lfu {
             capacity,
-            counts: HashMap::with_capacity(capacity),
-            buckets: HashMap::new(),
+            counts: IdMap::with_capacity_and_hasher(capacity, Default::default()),
+            buckets: IdMap::default(),
             min_freq: 0,
             evictions: 0,
         }

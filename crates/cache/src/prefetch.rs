@@ -12,8 +12,8 @@
 //! staged. The simulator reports hit rate and waste (staged bytes never
 //! used) — the two numbers an operator needs to size the feature.
 
+use crate::hash::IdMap;
 use appstore_core::DownloadEvent;
-use std::collections::HashMap;
 
 /// Outcome of a prefetch simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,7 +75,7 @@ pub struct PrefetchSimulator<'a> {
     popular_by_category: &'a [Vec<u32>],
     fanout: usize,
     slot_capacity: usize,
-    slots: HashMap<u32, Slot>,
+    slots: IdMap<u32, Slot>,
 }
 
 impl<'a> PrefetchSimulator<'a> {
@@ -99,7 +99,7 @@ impl<'a> PrefetchSimulator<'a> {
             popular_by_category,
             fanout,
             slot_capacity,
-            slots: HashMap::new(),
+            slots: IdMap::default(),
         }
     }
 

@@ -302,11 +302,51 @@ pub fn roll(site: &str, index: u64, attempt: u64) -> Option<FaultKind> {
     })
 }
 
+/// The payload of a panic that a [`FaultKind::WorkerPanic`] rule raises
+/// on purpose, tagged with its site and index so a panic hook can tell
+/// it from a real bug.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InjectedPanic {
+    /// The injection site that fired.
+    pub site: &'static str,
+    /// The work-item index at that site.
+    pub index: u64,
+}
+
+impl std::fmt::Display for InjectedPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "injected panic at {} index {}", self.site, self.index)
+    }
+}
+
+/// Panics with an [`InjectedPanic`] payload. It unwinds like any other
+/// panic, so the isolation under test sees what a real bug would raise.
+pub fn inject_panic(site: &'static str, index: u64) -> ! {
+    std::panic::panic_any(InjectedPanic { site, index })
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn injected_panics_carry_their_site_and_index() {
+        let payload = std::panic::catch_unwind(|| inject_panic(SITE_PAR_TASK, 7)).unwrap_err();
+        let injected = payload.downcast_ref::<InjectedPanic>().unwrap();
+        assert_eq!(
+            *injected,
+            InjectedPanic {
+                site: SITE_PAR_TASK,
+                index: 7
+            }
+        );
+        assert_eq!(
+            injected.to_string(),
+            "injected panic at core.par.task index 7"
+        );
+    }
 
     #[test]
     fn no_injector_means_no_faults() {

@@ -62,7 +62,7 @@ fn run_attempt<T, R>(
             if let Some(faults::FaultKind::WorkerPanic) =
                 faults::roll(faults::SITE_PAR_TASK, i as u64, attempt)
             {
-                panic!("injected worker panic at task {i}");
+                faults::inject_panic(faults::SITE_PAR_TASK, i as u64);
             }
             f(i, item)
         })

@@ -73,6 +73,10 @@ pub struct MarketplaceServer<'a> {
     policy: ServerPolicy,
     /// Comments grouped by day (built once).
     comments_by_day: Vec<Vec<CommentEvent>>,
+    /// Per-client token buckets. The key is the `X-Client` address a
+    /// client sends, so this map keeps `std`'s keyed SipHash: a client
+    /// that picks its own keys must not be able to flood one bucket
+    /// chain.
     state: Mutex<HashMap<u32, Bucket>>,
 }
 

@@ -254,30 +254,34 @@ impl ZipfSampler {
         }
     }
 
+    /// The 0-based index an inverse-CDF draw of uniform `u` lands on:
+    /// the first index whose cumulative mass reaches `u`.
+    ///
+    /// Guide-table lookup plus correction loops: start near the answer,
+    /// then walk to the exact first index with cumulative >= u. The
+    /// forward/backward pair makes the result identical to
+    /// `partition_point(|&c| c < u)` from any starting position on a
+    /// nondecreasing vector, so FP rounding in the bucket index cannot
+    /// shift a draw. `u < 1.0` and `cumulative[n-1] == 1.0` bound the
+    /// forward walk.
+    #[inline]
+    fn index_of(&self, u: f64) -> usize {
+        let n = self.cumulative.len();
+        let bucket = ((u * n as f64) as usize).min(n - 1);
+        let mut i = self.guide[bucket] as usize;
+        while self.cumulative[i] < u {
+            i += 1;
+        }
+        while i > 0 && self.cumulative[i - 1] >= u {
+            i -= 1;
+        }
+        i
+    }
+
     /// Draws a 1-based rank.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         match &self.alias {
-            None => {
-                let u: f64 = rng.gen();
-                // Guide-table lookup plus correction loops: start near
-                // the answer, then walk to the exact first index with
-                // cumulative >= u. The forward/backward pair makes the
-                // result identical to `partition_point(|&c| c < u)`
-                // from any starting position on a nondecreasing vector,
-                // so FP rounding in the bucket index cannot shift a
-                // draw. `u < 1.0` and `cumulative[n-1] == 1.0` bound
-                // the forward walk.
-                let n = self.cumulative.len();
-                let bucket = ((u * n as f64) as usize).min(n - 1);
-                let mut i = self.guide[bucket] as usize;
-                while self.cumulative[i] < u {
-                    i += 1;
-                }
-                while i > 0 && self.cumulative[i - 1] >= u {
-                    i -= 1;
-                }
-                i + 1
-            }
+            None => self.index_of(rng.gen()) + 1,
             Some(table) => table.sample(rng) + 1,
         }
     }
@@ -285,6 +289,33 @@ impl ZipfSampler {
     /// Draws a 0-based index (rank − 1), convenient for array indexing.
     pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.sample(rng) - 1
+    }
+
+    /// Draws a 0-based index like [`ZipfSampler::sample_index`], but
+    /// answers `None`, without a lookup, when an inverse-CDF draw lands
+    /// below `floor`. The draw consumes the same uniforms either way.
+    ///
+    /// The lookup returns the first index whose cumulative mass reaches
+    /// `u`, so `u <= cumulative[floor - 1]` holds exactly when the index
+    /// would be below `floor`: one compare replaces the lookup for those
+    /// draws. Alias draws have no such order and always return the index.
+    #[inline]
+    pub(crate) fn sample_index_from<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        floor: usize,
+    ) -> Option<usize> {
+        match &self.alias {
+            None => {
+                let u: f64 = rng.gen();
+                if floor > 0 && u <= self.cumulative[floor - 1] {
+                    None
+                } else {
+                    Some(self.index_of(u))
+                }
+            }
+            Some(table) => Some(table.sample(rng)),
+        }
     }
 }
 
@@ -374,6 +405,32 @@ mod tests {
                 let reference = sampler.cumulative.partition_point(|&c| c < u) + 1;
                 prop_assert_eq!(fast, reference);
             }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn floored_draws_reject_exactly_the_draws_below_the_floor(
+            n in 1usize..400, s in 0.0f64..4.0, floor_pick in 0usize..1_000, seed in any::<u64>(), alias in any::<bool>()
+        ) {
+            let method = if alias { SampleMethod::Alias } else { SampleMethod::InverseCdf };
+            let sampler = ZipfSampler::with_method(n, s, method);
+            let floor = floor_pick % (n + 1);
+            let mut rng_floor = Seed::new(seed).rng();
+            let mut rng_plain = rng_floor.clone();
+            for _ in 0..64 {
+                let floored = sampler.sample_index_from(&mut rng_floor, floor);
+                let plain = sampler.sample_index(&mut rng_plain);
+                match floored {
+                    Some(index) => prop_assert_eq!(index, plain),
+                    None => prop_assert!(!alias && plain < floor),
+                }
+                if !alias {
+                    prop_assert_eq!(floored.is_none(), plain < floor);
+                }
+            }
+            // Both paths consumed the same uniforms.
+            prop_assert_eq!(rng_floor.gen::<u64>(), rng_plain.gen::<u64>());
         }
     }
 

@@ -319,7 +319,7 @@ impl<'a> BackingTier<'a> {
                 *note = Some("deadline");
                 return Err(TierError::Deadline);
             }
-            Some(FaultKind::WorkerPanic) => panic!("injected panic in backing call"),
+            Some(FaultKind::WorkerPanic) => faults::inject_panic(SITE_SERVE_BACKING, request_index),
             _ => {}
         }
         match self.replicas[replica].handle(

@@ -489,7 +489,7 @@ fn route_request(
     notes: &mut TraceNotes,
 ) -> HttpResponse {
     match faults::roll(SITE_SERVE_HANDLER, index, 0) {
-        Some(FaultKind::WorkerPanic) => panic!("injected worker panic in handler"),
+        Some(FaultKind::WorkerPanic) => faults::inject_panic(SITE_SERVE_HANDLER, index),
         Some(FaultKind::Delay { virtual_ms }) => {
             deadline.charge(virtual_ms);
         }
