@@ -2,8 +2,9 @@
 //!
 //! Every table and figure in the paper's evaluation maps to one function
 //! in [`experiments`]; the `repro` binary dispatches on experiment id and
-//! prints the regenerated rows/series, and the criterion benches in
-//! `benches/` measure the computational kernels behind each one.
+//! prints the regenerated rows/series. The one criterion bench,
+//! `benches/model_fit.rs`, measures the model-fitting kernels behind
+//! Figs. 8–10.
 //!
 //! The harness works on the four calibrated synthetic stores from
 //! `appstore-synth` (optionally scaled down with `--scale` for quick

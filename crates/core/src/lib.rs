@@ -6,14 +6,11 @@
 //! events; daily snapshots as collected by a crawl; and complete datasets
 //! (one per monitored appstore) that the analysis crates consume.
 //!
-//! It also provides three small pieces of infrastructure that the
+//! It also provides two small pieces of infrastructure that the
 //! simulators are built on:
 //!
 //! * [`seed::Seed`] — hierarchical deterministic seeding, so that every
-//!   experiment in the repository is bit-reproducible,
-//! * [`bitset::DenseBitset`] — a compact per-user "already downloaded"
-//!   set used to implement the *fetch-at-most-once* property at the scale
-//!   of hundreds of thousands of users times tens of thousands of apps, and
+//!   experiment in the repository is bit-reproducible, and
 //! * [`par::par_map_indexed`] — deterministic fork/join over seeded work
 //!   items, the scheme every parallel experiment path uses to stay
 //!   byte-identical across thread counts.
@@ -28,7 +25,6 @@
 
 pub mod app;
 pub mod backoff;
-pub mod bitset;
 pub mod category;
 pub mod dataset;
 pub mod developer;
@@ -47,7 +43,6 @@ pub mod time;
 
 pub use app::{AdLibrary, App, PricingTier, AD_NETWORK_CATALOGUE};
 pub use backoff::{backoff_delay_ms, jittered, BackoffSchedule, RetryBudget};
-pub use bitset::DenseBitset;
 pub use category::{CategoryInfo, CategorySet};
 pub use dataset::{Dataset, StoreMeta};
 pub use developer::Developer;
@@ -56,7 +51,7 @@ pub use event::{CommentEvent, DownloadEvent, UpdateEvent};
 pub use faults::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultTrigger};
 pub use ids::{AppId, CategoryId, DeveloperId, StoreId, UserId};
 pub use money::Cents;
-pub use par::{effective_threads, par_map_indexed, par_map_indexed_lossy};
+pub use par::{effective_threads, par_map_indexed};
 pub use quality::{
     assess, assess_span, repair_gaps, DatasetQuality, GapRepair, PartialSnapshot, RepairReport,
 };

@@ -21,8 +21,7 @@
 //! retry is `attempt = 1` at the [`faults::SITE_PAR_TASK`] injection
 //! site, so a scheduled [`faults::FaultKind::WorkerPanic`] clears on
 //! retry). A task that panics twice propagates its original panic from
-//! [`par_map_indexed`], or degrades to `None` in
-//! [`par_map_indexed_lossy`]. When no panic fires the isolation layer is
+//! [`par_map_indexed`]. When no panic fires the isolation layer is
 //! observationally free and the bit-identical contract is untouched.
 
 use crate::faults;
@@ -85,96 +84,6 @@ fn run_isolated<T: Clone, R>(
     }
 }
 
-/// Shared fan-out: every task's result or (double-panic) payload, in
-/// input order.
-fn par_try_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<Result<R, PanicPayload>>
-where
-    T: Clone + Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let workers = effective_threads(threads).min(items.len()).max(1);
-    // Call and task counts are functions of the input alone; the
-    // per-worker task distribution depends on the worker count, so it is
-    // recorded as volatile and zeroed in comparable snapshots.
-    appstore_obs::counter(appstore_obs::names::CORE_PAR_CALLS, 1);
-    appstore_obs::counter(appstore_obs::names::CORE_PAR_TASKS, items.len() as u64);
-    if workers <= 1 {
-        appstore_obs::observe_volatile(
-            appstore_obs::names::CORE_PAR_WORKER_TASKS,
-            items.len() as u64,
-        );
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| run_isolated(&f, i, t))
-            .collect();
-    }
-    // Split into contiguous ownership chunks, remembering each chunk's
-    // starting index so results can be placed back in input order.
-    let chunk_len = items.len().div_ceil(workers);
-    let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(workers);
-    let mut rest = items;
-    let mut start = 0;
-    while !rest.is_empty() {
-        let take = chunk_len.min(rest.len());
-        let tail = rest.split_off(take);
-        chunks.push((start, std::mem::replace(&mut rest, tail)));
-        start += take;
-    }
-    let mut out: Vec<Option<Result<R, PanicPayload>>> = Vec::new();
-    out.resize_with(start, || None);
-    // Carry the caller's observability context and fault injector onto
-    // each worker so spans and counters land in the same registry as a
-    // sequential run and injected faults fire on the same schedule.
-    let obs_ctx = appstore_obs::capture();
-    let fault_ctx = faults::capture();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let obs_ctx = &obs_ctx;
-        let fault_ctx = &fault_ctx;
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|(base, chunk)| {
-                scope.spawn(move || {
-                    let work = || {
-                        appstore_obs::observe_volatile(
-                            appstore_obs::names::CORE_PAR_WORKER_TASKS,
-                            chunk.len() as u64,
-                        );
-                        chunk
-                            .into_iter()
-                            .enumerate()
-                            .map(|(k, item)| {
-                                let i = base + k;
-                                (i, run_isolated(f, i, item))
-                            })
-                            .collect::<Vec<(usize, Result<R, PanicPayload>)>>()
-                    };
-                    let work = || match fault_ctx {
-                        Some(injector) => faults::with_injector(injector, work),
-                        None => work(),
-                    };
-                    match obs_ctx {
-                        Some(ctx) => ctx.run(work),
-                        None => work(),
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Tasks catch their own panics, so a worker thread can only
-            // die abnormally outside any task body.
-            for (i, r) in handle.join().expect("parallel worker panicked") {
-                out[i] = Some(r);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("every index produced a result"))
-        .collect()
-}
-
 /// Applies `f` to every item on up to `threads` worker threads and
 /// returns the results **in input order**.
 ///
@@ -195,31 +104,92 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    par_try_map(items, threads, f)
+    let workers = effective_threads(threads).min(items.len()).max(1);
+    // Call and task counts are functions of the input alone; the
+    // per-worker task distribution depends on the worker count, so it is
+    // recorded as volatile and zeroed in comparable snapshots.
+    appstore_obs::counter(appstore_obs::names::CORE_PAR_CALLS, 1);
+    appstore_obs::counter(appstore_obs::names::CORE_PAR_TASKS, items.len() as u64);
+    let results: Vec<Result<R, PanicPayload>> = if workers <= 1 {
+        appstore_obs::observe_volatile(
+            appstore_obs::names::CORE_PAR_WORKER_TASKS,
+            items.len() as u64,
+        );
+        items
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| run_isolated(&f, i, t))
+            .collect()
+    } else {
+        // Split into contiguous ownership chunks, remembering each chunk's
+        // starting index so results can be placed back in input order.
+        let chunk_len = items.len().div_ceil(workers);
+        let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(workers);
+        let mut rest = items;
+        let mut start = 0;
+        while !rest.is_empty() {
+            let take = chunk_len.min(rest.len());
+            let tail = rest.split_off(take);
+            chunks.push((start, std::mem::replace(&mut rest, tail)));
+            start += take;
+        }
+        let mut out: Vec<Option<Result<R, PanicPayload>>> = Vec::new();
+        out.resize_with(start, || None);
+        // Carry the caller's observability context and fault injector onto
+        // each worker so spans and counters land in the same registry as a
+        // sequential run and injected faults fire on the same schedule.
+        let obs_ctx = appstore_obs::capture();
+        let fault_ctx = faults::capture();
+        std::thread::scope(|scope| {
+            let f = &f;
+            let obs_ctx = &obs_ctx;
+            let fault_ctx = &fault_ctx;
+            let handles: Vec<_> = chunks
+                .into_iter()
+                .map(|(base, chunk)| {
+                    scope.spawn(move || {
+                        let work = || {
+                            appstore_obs::observe_volatile(
+                                appstore_obs::names::CORE_PAR_WORKER_TASKS,
+                                chunk.len() as u64,
+                            );
+                            chunk
+                                .into_iter()
+                                .enumerate()
+                                .map(|(k, item)| {
+                                    let i = base + k;
+                                    (i, run_isolated(f, i, item))
+                                })
+                                .collect::<Vec<(usize, Result<R, PanicPayload>)>>()
+                        };
+                        let work = || match fault_ctx {
+                            Some(injector) => faults::with_injector(injector, work),
+                            None => work(),
+                        };
+                        match obs_ctx {
+                            Some(ctx) => ctx.run(work),
+                            None => work(),
+                        }
+                    })
+                })
+                .collect();
+            for handle in handles {
+                // Tasks catch their own panics, so a worker thread can only
+                // die abnormally outside any task body.
+                for (i, r) in handle.join().expect("parallel worker panicked") {
+                    out[i] = Some(r);
+                }
+            }
+        });
+        out.into_iter()
+            .map(|slot| slot.expect("every index produced a result"))
+            .collect()
+    };
+    // Every task has run; the first task in input order that panicked
+    // twice re-raises its original panic.
+    results
         .into_iter()
         .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-        .collect()
-}
-
-/// Like [`par_map_indexed`], but a task that panics twice **degrades**
-/// to `None` instead of taking the whole map down (counted under
-/// `core.par.tasks_degraded`). Use where partial results are better than
-/// none — chaos experiments and best-effort sweeps.
-pub fn par_map_indexed_lossy<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<Option<R>>
-where
-    T: Clone + Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    par_try_map(items, threads, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(value) => Some(value),
-            Err(_) => {
-                appstore_obs::counter(appstore_obs::names::CORE_PAR_TASKS_DEGRADED, 1);
-                None
-            }
-        })
         .collect()
 }
 
@@ -345,39 +315,6 @@ mod tests {
                 "threads = {threads}"
             );
         }
-    }
-
-    #[test]
-    fn lossy_map_degrades_twice_panicking_tasks() {
-        // Probability 1.0 fires on both attempts: the task can never
-        // succeed and must degrade to None without sinking the map.
-        let injector = FaultInjector::new(FaultPlan::seeded(3).rule(
-            faults::SITE_PAR_TASK,
-            FaultKind::WorkerPanic,
-            FaultTrigger::Probability(1.0),
-        ));
-        let registry = appstore_obs::Registry::new();
-        let got = appstore_obs::with_registry(&registry, || {
-            faults::with_injector(&injector, || {
-                par_map_indexed_lossy(vec![1u32, 2, 3], 2, |_, x| x + 1)
-            })
-        });
-        assert_eq!(got, vec![None, None, None]);
-        assert_eq!(
-            registry.counter_value(appstore_obs::names::CORE_PAR_TASKS_DEGRADED),
-            3
-        );
-    }
-
-    #[test]
-    fn lossy_map_without_faults_matches_strict() {
-        let items: Vec<u64> = (0..31).collect();
-        let strict = par_map_indexed(items.clone(), 3, |i, x| x + i as u64);
-        let lossy = par_map_indexed_lossy(items, 3, |i, x| x + i as u64);
-        assert_eq!(
-            lossy.into_iter().map(Option::unwrap).collect::<Vec<_>>(),
-            strict
-        );
     }
 
     #[test]

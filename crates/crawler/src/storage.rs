@@ -755,6 +755,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod file_tests {
     use super::*;
     use appstore_core::{Seed, StoreId};

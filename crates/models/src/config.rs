@@ -307,6 +307,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod serde_tests {
     use super::*;
 

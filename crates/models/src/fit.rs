@@ -37,6 +37,7 @@ use appstore_stats::mean_relative_error;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 
 /// The winning parameters of a grid search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,7 +86,8 @@ pub struct FitSpec {
     pub coarse: CoarseMode,
 }
 
-/// How [`fit_clustering`] screens the candidate grid.
+/// How [`fit_clustering`] and [`fit_clustering_checkpointed`] screen the
+/// candidate grid.
 ///
 /// Under coarse-to-fine, every feasible candidate is first scored on a
 /// deterministic subsample of the rank axis (cheap, serial, heuristic);
@@ -488,123 +490,244 @@ pub fn fit_zipf_amo(observed: &[u64], spec: &FitSpec, seed: Seed) -> Option<FitO
 ///
 /// Returns `None` for an empty or all-zero curve or an empty grid.
 pub fn fit_clustering(observed: &[u64], spec: &FitSpec, seed: Seed) -> Option<FitOutcome> {
+    fit_clustering_with(observed, spec, seed, &mut NoJournal).unwrap_or_else(|never| match never {})
+}
+
+/// One screened grid candidate: its user fraction and analytic outcome.
+type Screened = (f64, FitOutcome);
+
+/// What the APP-CLUSTERING pipeline asks of a checkpoint journal, the
+/// one seam between [`fit_clustering`] and
+/// [`fit_clustering_checkpointed`]. Screening results are keyed by grid
+/// index and refinements by shortlist index. The defaults keep nothing,
+/// which is all the plain fit needs ([`NoJournal`]).
+trait Checkpoint {
+    /// Why a record could not be sealed.
+    type Error;
+
+    /// Replays or starts the journal, once the grid of `grid_len`
+    /// candidates is known to be non-empty.
+    fn open(
+        &mut self,
+        _observed: &[u64],
+        _spec: &FitSpec,
+        _seed: Seed,
+        _grid_len: usize,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// The sealed screening result of grid candidate `index`
+    /// (`Some(None)` when it was sealed as infeasible), or `None` when
+    /// the journal holds no record of it.
+    fn screened(&self, _index: usize) -> Option<Option<Screened>> {
+        None
+    }
+
+    /// Seals the screening result of grid candidate `index`.
+    fn seal_screened(
+        &mut self,
+        _index: usize,
+        _result: Option<Screened>,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// The final outcome of shortlist slot `index` when it needs no
+    /// refinement: its sealed refinement, or its `analytic` score when a
+    /// deadline downgraded it; `None` when it still has to be refined.
+    fn settled(
+        &mut self,
+        _index: usize,
+        _analytic: FitOutcome,
+    ) -> Result<Option<FitOutcome>, Self::Error> {
+        Ok(None)
+    }
+
+    /// Seals the refined outcome of shortlist slot `index`.
+    fn seal_refined(&mut self, _index: usize, _outcome: FitOutcome) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// The plain fit's checkpoint: no fingerprint, no replay, no
+/// serialization and no `fit.journal.*` counters.
+struct NoJournal;
+
+impl Checkpoint for NoJournal {
+    type Error = Infallible;
+}
+
+/// The one APP-CLUSTERING fit behind both public entry points:
+///
+/// 1. build the grid;
+/// 2. run the coarse pass when [`FitSpec::coarse_plan`] calls for it;
+/// 3. screen every target (coarse survivor, or the whole grid) that the
+///    checkpoint holds no record of, in one chunked fan-out;
+/// 4. feed the screened targets to the [`ShortlistBuilder`] in grid
+///    order;
+/// 5. Monte-Carlo refine every shortlist slot the checkpoint has not
+///    settled, in one fan-out, and keep the first minimum.
+///
+/// Refinement seeds are keyed by shortlist index, so a resumed slot
+/// draws exactly the streams an uninterrupted run would.
+fn fit_clustering_with<C: Checkpoint>(
+    observed: &[u64],
+    spec: &FitSpec,
+    seed: Seed,
+    checkpoint: &mut C,
+) -> Result<Option<FitOutcome>, C::Error> {
     if observed.is_empty() {
-        return None;
+        return Ok(None);
     }
     let grid = clustering_grid(spec);
     if grid.is_empty() {
-        return None;
+        return Ok(None);
     }
+    checkpoint.open(observed, spec, seed, grid.len())?;
     appstore_obs::counter(
         appstore_obs::names::FIT_CLUSTERING_GRID_CANDIDATES,
         grid.len() as u64,
     );
-    // Coarse-to-fine: a serial subsample pass over the whole grid picks
-    // the candidates worth exact screening; small grids skip it and
-    // screen everything. Either way the exact screening below is the
-    // only thing that feeds the shortlist.
-    let (screened, screened_count) =
-        appstore_obs::span(appstore_obs::names::SPAN_FIT_SCREEN, || {
-            let selection =
-                spec.coarse_plan(grid.len())
-                    .map(|(sample, keep_global, keep_per_uf)| {
-                        kernel::coarse_select(
-                            observed,
-                            spec,
-                            &grid,
-                            sample,
-                            keep_global,
-                            keep_per_uf,
-                        )
-                    });
-            let targets: Vec<GridCandidate> = match &selection {
-                Some(sel) => sel.survivors.iter().map(|&i| grid[i]).collect(),
-                None => grid.clone(),
-            };
-            // Screen the targets in contiguous chunks, one
-            // [`ScreeningCache`] per worker: the grid revisits the same
-            // few exponents thousands of times, so each worker builds
-            // every distinct Zipf table once. Workers return *all* their
-            // scored candidates and the reduction below runs
-            // sequentially in grid order, so the shortlist cannot depend
-            // on the thread count — even under exact distance ties.
-            let workers = spec.worker_count().min(targets.len()).max(1);
-            let chunk_len = targets.len().div_ceil(workers).max(1);
-            let chunks: Vec<Vec<GridCandidate>> =
-                targets.chunks(chunk_len).map(<[_]>::to_vec).collect();
-            let screened = par_map_indexed(chunks, workers, |_, chunk: Vec<GridCandidate>| {
-                let mut cache = ScreeningCache::new();
-                let mut scratch = ScreenScratch::default();
-                let mut scored: Vec<(f64, FitOutcome)> = Vec::with_capacity(chunk.len());
-                for candidate in chunk {
-                    if let Some(hit) =
-                        screen_candidate(observed, spec, &mut cache, &mut scratch, candidate)
-                    {
-                        scored.push(hit);
-                    }
-                }
-                cache.flush_metrics();
-                scored
-            });
-            // The screened/pruned tallies always describe the *full*
-            // grid's feasibility, so their values match the exhaustive
-            // path whatever the coarse mode.
-            let screened_count: u64 = match &selection {
-                Some(sel) => {
-                    appstore_obs::counter(
-                        appstore_obs::names::FIT_COARSE_SURVIVORS,
-                        sel.survivors.len() as u64,
-                    );
-                    appstore_obs::counter(
-                        appstore_obs::names::FIT_COARSE_PRUNED,
-                        sel.feasible - sel.survivors.len() as u64,
-                    );
-                    sel.feasible
-                }
-                None => screened.iter().map(|chunk| chunk.len() as u64).sum(),
-            };
-            (screened, screened_count)
+    let plan = spec.coarse_plan(grid.len());
+    let unsealed = |i: &usize| checkpoint.screened(*i).is_none();
+    let screen = || {
+        let selection = plan.map(|(sample, keep_global, keep_per_uf)| {
+            kernel::coarse_select(observed, spec, &grid, sample, keep_global, keep_per_uf)
         });
+        let (targets, feasible) = match selection {
+            Some(sel) => (sel.survivors, Some(sel.feasible)),
+            None => ((0..grid.len()).collect(), None),
+        };
+        let missing: Vec<usize> = targets.iter().copied().filter(unsealed).collect();
+        let fresh = screen_chunks(observed, spec, &grid, &missing);
+        if let Some(feasible) = feasible {
+            appstore_obs::counter(
+                appstore_obs::names::FIT_COARSE_SURVIVORS,
+                targets.len() as u64,
+            );
+            appstore_obs::counter(
+                appstore_obs::names::FIT_COARSE_PRUNED,
+                feasible - targets.len() as u64,
+            );
+        }
+        (targets, feasible, fresh)
+    };
+    // Only a resumed fit whose journal holds the whole grid, with no
+    // coarse pass to run, has nothing to screen.
+    let (targets, feasible, fresh) = if plan.is_some() || (0..grid.len()).any(|i| unsealed(&i)) {
+        appstore_obs::span(appstore_obs::names::SPAN_FIT_SCREEN, screen)
+    } else {
+        ((0..grid.len()).collect(), None, Vec::new())
+    };
+    // Seal in grid order, so a kill mid-seal loses only unsealed work.
+    for &(i, result) in &fresh {
+        checkpoint.seal_screened(i, result)?;
+    }
+    // `fresh` holds the unsealed targets in grid order, so the shortlist
+    // reads every target's result in grid order too.
+    let mut fresh = fresh.into_iter().map(|(_, result)| result);
+    let mut builder = ShortlistBuilder::new(spec.refine_top.max(1), &spec.user_fractions);
+    let mut screened_count = 0u64;
+    for i in targets {
+        if let Some((uf, outcome)) = checkpoint.screened(i).or_else(|| fresh.next()).flatten() {
+            screened_count += 1;
+            builder.add(uf, outcome);
+        }
+    }
+    // The screened/pruned tallies always describe the *full* grid's
+    // feasibility, so their values match the exhaustive path whatever
+    // the coarse mode.
+    let screened_count = feasible.unwrap_or(screened_count);
     appstore_obs::counter(appstore_obs::names::FIT_CLUSTERING_SCREENED, screened_count);
     appstore_obs::counter(
         appstore_obs::names::FIT_CLUSTERING_PRUNED,
         grid.len() as u64 - screened_count,
     );
-    let mut builder = ShortlistBuilder::new(spec.refine_top.max(1), &spec.user_fractions);
-    for (uf, outcome) in screened.into_iter().flatten() {
-        builder.add(uf, outcome);
-    }
     if builder.is_empty() {
-        return None;
+        return Ok(None);
     }
     if spec.refine_top == 0 {
-        return builder.best_screened();
+        return Ok(builder.best_screened());
     }
     let shortlist = builder.shortlist();
     appstore_obs::counter(
         appstore_obs::names::FIT_CLUSTERING_REFINED,
         shortlist.len() as u64,
     );
-    appstore_obs::span(appstore_obs::names::SPAN_FIT_REFINE, || {
-        par_map_indexed(shortlist, spec.worker_count(), |i, outcome: FitOutcome| {
-            refine_clustering_candidate(
-                observed,
-                spec,
-                outcome,
-                seed.child_indexed("clustering-refine", i as u64),
-            )
-        })
-        .into_iter()
-        .min_by(|a, b| a.distance.total_cmp(&b.distance))
+    appstore_obs::span(
+        appstore_obs::names::SPAN_FIT_REFINE,
+        || -> Result<Option<FitOutcome>, C::Error> {
+            let mut settled = Vec::with_capacity(shortlist.len());
+            let mut pending = Vec::new();
+            for (i, &analytic) in shortlist.iter().enumerate() {
+                let outcome = checkpoint.settled(i, analytic)?;
+                if outcome.is_none() {
+                    pending.push((i, analytic));
+                }
+                settled.push(outcome);
+            }
+            let refined = par_map_indexed(
+                pending,
+                spec.worker_count(),
+                |_, (i, outcome): (usize, FitOutcome)| {
+                    let seed = seed.child_indexed("clustering-refine", i as u64);
+                    (
+                        i,
+                        refine_clustering_candidate(observed, spec, outcome, seed),
+                    )
+                },
+            );
+            for (i, outcome) in refined {
+                checkpoint.seal_refined(i, outcome)?;
+                settled[i] = Some(outcome);
+            }
+            Ok(settled
+                .into_iter()
+                .flatten()
+                .min_by(|a, b| a.distance.total_cmp(&b.distance)))
+        },
+    )
+}
+
+/// Screens the grid candidates at `targets` (ascending grid indices) in
+/// contiguous chunks, one per worker, each with its own
+/// [`ScreeningCache`]: the grid revisits the same few exponents
+/// thousands of times, so each chunk builds every distinct Zipf table
+/// once. Results come back in target order, so the shortlist cannot
+/// depend on the thread count, even under exact distance ties.
+fn screen_chunks(
+    observed: &[u64],
+    spec: &FitSpec,
+    grid: &[GridCandidate],
+    targets: &[usize],
+) -> Vec<(usize, Option<Screened>)> {
+    let workers = spec.worker_count().min(targets.len()).max(1);
+    let chunk_len = targets.len().div_ceil(workers).max(1);
+    let chunks: Vec<Vec<usize>> = targets.chunks(chunk_len).map(<[_]>::to_vec).collect();
+    par_map_indexed(chunks, workers, |_, chunk: Vec<usize>| {
+        let mut cache = ScreeningCache::new();
+        let mut scratch = ScreenScratch::default();
+        let scored: Vec<(usize, Option<Screened>)> = chunk
+            .into_iter()
+            .map(|i| {
+                let result = screen_candidate(observed, spec, &mut cache, &mut scratch, grid[i]);
+                (i, result)
+            })
+            .collect();
+        cache.flush_metrics();
+        scored
     })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Materializes the APP-CLUSTERING candidate grid in its canonical
-/// order: `z_r` outermost, then `z_c`, `p`, and user-fraction. Every
-/// consumer — plain fit, coarse pass, checkpointed fit, journal replay —
-/// must agree on this order, because journal records address candidates
-/// by their grid index (and the coarse pass recovers axis indices from
-/// it arithmetically).
+/// order: `z_r` outermost, then `z_c`, `p`, and user-fraction. The
+/// screen, the coarse pass and journal replay must agree on this order,
+/// because journal records address candidates by their grid index (and
+/// the coarse pass recovers axis indices from it arithmetically).
 pub(crate) type GridCandidate = (f64, f64, f64, f64);
 
 fn clustering_grid(spec: &FitSpec) -> Vec<GridCandidate> {
@@ -682,50 +805,6 @@ fn refine_clustering_candidate(
     outcome.distance = score_simulated(observed, &sim, spec.replications, seed, 1);
     appstore_obs::instant(appstore_obs::names::INSTANT_FIT_CANDIDATE_REFINED);
     outcome
-}
-
-/// Coarse-to-fine local refinement: explores a finer grid around a
-/// coarse winner (±one coarse step at half resolution on `z_r`, `z_c`
-/// and `p`, ±30% on `U`), scoring analytically and Monte-Carlo-refining
-/// the shortlist exactly like [`fit_clustering`]. Returns the better of
-/// the input and the refined candidate, so it never regresses.
-pub fn refine_locally(
-    observed: &[u64],
-    coarse: &FitOutcome,
-    spec: &FitSpec,
-    seed: Seed,
-) -> FitOutcome {
-    let top = match observed.first() {
-        Some(&t) if t > 0 => t as f64,
-        _ => return *coarse,
-    };
-    let around = |center: f64, step: f64, lo: f64, hi: f64| -> Vec<f64> {
-        [-1.0f64, -0.5, 0.0, 0.5, 1.0]
-            .iter()
-            .map(|k| (center + k * step).clamp(lo, hi))
-            .collect()
-    };
-    let local = FitSpec {
-        zipf_exponents: around(coarse.zipf_exponent, 0.1, 0.1, 4.0),
-        cluster_exponents: around(coarse.cluster_exponent, 0.1, 0.1, 4.0),
-        ps: around(coarse.p, 0.04, 0.0, 0.99),
-        user_fractions: vec![
-            coarse.users as f64 * 0.7 / top,
-            coarse.users as f64 * 0.85 / top,
-            coarse.users as f64 / top,
-            coarse.users as f64 * 1.15 / top,
-            coarse.users as f64 * 1.3 / top,
-        ],
-        clusters: spec.clusters,
-        threads: spec.threads,
-        refine_top: spec.refine_top,
-        replications: spec.replications,
-        coarse: spec.coarse,
-    };
-    match fit_clustering(observed, &local, seed.child("local")) {
-        Some(fine) if fine.distance < coarse.distance => fine,
-        _ => *coarse,
-    }
 }
 
 /// Fig. 10: for fixed `(z_r, z_c, p)` taken from `fit`, sweep the user
@@ -926,10 +1005,10 @@ impl Fingerprint {
 }
 
 /// Fingerprints one fit request. Everything that changes the answer is
-/// mixed in — the measured curve, the full grid, the refinement knobs
-/// and a value derived from the seed — so a journal can only resume the
-/// exact fit that started it.
-fn fit_fingerprint(observed: &[u64], spec: &FitSpec, seed: Seed) -> u64 {
+/// mixed in — the measured curve, the full grid, the refinement knobs,
+/// the coarse plan when one runs, and a value derived from the seed — so
+/// a journal can only resume the exact fit that started it.
+fn fit_fingerprint(observed: &[u64], spec: &FitSpec, seed: Seed, grid_len: usize) -> u64 {
     let mut fp = Fingerprint::new();
     fp.mix(seed.child("fit-journal-fingerprint").rng().gen::<u64>());
     fp.mix(observed.len() as u64);
@@ -950,6 +1029,13 @@ fn fit_fingerprint(observed: &[u64], spec: &FitSpec, seed: Seed) -> u64 {
     fp.mix(spec.clusters as u64);
     fp.mix(spec.refine_top as u64);
     fp.mix(u64::from(spec.replications));
+    // The survivors decide which candidates reach the shortlist, whose
+    // slots key the refinement records.
+    if let Some((sample, keep_global, keep_per_uf)) = spec.coarse_plan(grid_len) {
+        for v in [sample, keep_global, keep_per_uf] {
+            fp.mix(v as u64);
+        }
+    }
     fp.0
 }
 
@@ -959,7 +1045,7 @@ fn fit_fingerprint(observed: &[u64], spec: &FitSpec, seed: Seed) -> u64 {
 #[derive(Default)]
 struct FitReplay {
     header: Option<u64>,
-    screened: BTreeMap<u64, Option<(f64, FitOutcome)>>,
+    screened: BTreeMap<u64, Option<Screened>>,
     refined: BTreeMap<u64, FitOutcome>,
     downgraded: BTreeSet<u64>,
     quarantined: u64,
@@ -1059,11 +1145,13 @@ fn append_fit_record(
 }
 
 /// [`fit_clustering`] with a checkpoint journal: every screened grid
-/// candidate and every refined shortlist candidate is sealed into
-/// `journal` (CRC32 lines, same format as the crawl journal) as it
-/// completes, so an interrupted fit — crash, injected I/O fault, torn
-/// write — resumes from the last sealed candidate instead of restarting
-/// the multi-minute grid from zero.
+/// candidate (each coarse survivor, when the coarse pass runs) and every
+/// refined shortlist candidate is sealed into `journal` (CRC32 lines,
+/// same format as the crawl journal) as it completes, so an interrupted
+/// fit — crash, injected I/O fault, torn write — resumes from the last
+/// sealed candidate instead of restarting the multi-minute grid from
+/// zero. Both entry points run the same pipeline; only the journal is
+/// extra.
 ///
 /// Guarantees:
 ///
@@ -1088,170 +1176,107 @@ pub fn fit_clustering_checkpointed(
     budget: CandidateBudget,
     journal: &mut Vec<u8>,
 ) -> Result<Option<FitOutcome>, FitError> {
-    if observed.is_empty() {
-        return Ok(None);
-    }
-    let grid = clustering_grid(spec);
-    if grid.is_empty() {
-        return Ok(None);
-    }
-    // Heal a torn tail (a partial write without newline) so fresh
-    // appends start on their own line; replay quarantines the fragment.
-    if journal.last().is_some_and(|&b| b != b'\n') {
-        journal.push(b'\n');
-    }
-    let fingerprint = fit_fingerprint(observed, spec, seed);
-    let mut replay = replay_fit_journal(journal);
-    appstore_obs::counter(
-        appstore_obs::names::FIT_JOURNAL_LINES_QUARANTINED,
-        replay.quarantined,
-    );
-    if replay.header != Some(fingerprint) {
-        // Foreign or headerless journal: this is a different fit (or
-        // nothing useful survived). Start over.
-        journal.clear();
-        replay = FitReplay::default();
-        append_fit_record(journal, &FitRecord::Header { fingerprint }, u64::MAX)?;
-    }
-    let resumed = (replay.screened.len() + replay.refined.len() + replay.downgraded.len()) as u64;
-    appstore_obs::counter(appstore_obs::names::FIT_JOURNAL_CANDIDATES_RESUMED, resumed);
+    let mut journal = Journal {
+        lines: journal,
+        budget,
+        replay: FitReplay::default(),
+        grid_len: 0,
+    };
+    fit_clustering_with(observed, spec, seed, &mut journal)
+}
 
-    appstore_obs::counter(
-        appstore_obs::names::FIT_CLUSTERING_GRID_CANDIDATES,
-        grid.len() as u64,
-    );
-    // Screen whatever the journal does not already hold, in parallel
-    // with per-worker caches (same scheme as `fit_clustering`), then
-    // seal the results sequentially in grid order — so the journal's
-    // sealed prefix always corresponds to a prefix-closed candidate set
-    // and a kill mid-seal loses only unsealed work.
-    let missing: Vec<(u64, GridCandidate)> = grid
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !replay.screened.contains_key(&(*i as u64)))
-        .map(|(i, &candidate)| (i as u64, candidate))
-        .collect();
-    if !missing.is_empty() {
-        let workers = spec.worker_count().min(missing.len()).max(1);
-        let chunk_len = missing.len().div_ceil(workers);
-        let chunks: Vec<Vec<(u64, GridCandidate)>> =
-            missing.chunks(chunk_len).map(<[_]>::to_vec).collect();
-        let computed = appstore_obs::span(appstore_obs::names::SPAN_FIT_SCREEN, || {
-            par_map_indexed(chunks, workers, |_, chunk: Vec<(u64, GridCandidate)>| {
-                let mut cache = ScreeningCache::new();
-                let mut scratch = ScreenScratch::default();
-                let scored: Vec<(u64, Option<(f64, FitOutcome)>)> = chunk
-                    .into_iter()
-                    .map(|(i, candidate)| {
-                        (
-                            i,
-                            screen_candidate(observed, spec, &mut cache, &mut scratch, candidate),
-                        )
-                    })
-                    .collect();
-                cache.flush_metrics();
-                scored
-            })
-        });
-        for (i, screened) in computed.into_iter().flatten() {
-            let record = FitRecord::Screened {
-                index: i,
-                outcome: screened.map(|(uf, o)| (uf.to_bits(), JournalOutcome::from(o))),
-            };
-            append_fit_record(journal, &record, i)?;
-            replay.screened.insert(i, screened);
-        }
-    }
-    let screened_count = replay
-        .screened
-        .values()
-        .filter(|outcome| outcome.is_some())
-        .count() as u64;
-    appstore_obs::counter(appstore_obs::names::FIT_CLUSTERING_SCREENED, screened_count);
-    appstore_obs::counter(
-        appstore_obs::names::FIT_CLUSTERING_PRUNED,
-        grid.len() as u64 - screened_count,
-    );
+/// The checkpointed fit's side of the [`Checkpoint`] seam: the caller's
+/// journal, what it replayed to, and the refinement deadline.
+struct Journal<'a> {
+    lines: &'a mut Vec<u8>,
+    budget: CandidateBudget,
+    replay: FitReplay,
+    /// Refinement records follow the grid in the logical index space.
+    grid_len: u64,
+}
 
-    // The shortlist is rebuilt from the (now complete) screening table in
-    // grid order — deterministic, so shortlist indices in the journal
-    // stay stable across resumes.
-    let mut builder = ShortlistBuilder::new(spec.refine_top.max(1), &spec.user_fractions);
-    for index in 0..grid.len() as u64 {
-        if let Some(Some((uf, outcome))) = replay.screened.get(&index) {
-            builder.add(*uf, *outcome);
+impl Checkpoint for Journal<'_> {
+    type Error = FitError;
+
+    fn open(
+        &mut self,
+        observed: &[u64],
+        spec: &FitSpec,
+        seed: Seed,
+        grid_len: usize,
+    ) -> Result<(), FitError> {
+        // Heal a torn tail (a partial write without newline) so fresh
+        // appends start on their own line; replay quarantines the fragment.
+        if self.lines.last().is_some_and(|&b| b != b'\n') {
+            self.lines.push(b'\n');
         }
+        let fingerprint = fit_fingerprint(observed, spec, seed, grid_len);
+        self.replay = replay_fit_journal(self.lines);
+        appstore_obs::counter(
+            appstore_obs::names::FIT_JOURNAL_LINES_QUARANTINED,
+            self.replay.quarantined,
+        );
+        if self.replay.header != Some(fingerprint) {
+            // Foreign or headerless journal: this is a different fit (or
+            // nothing useful survived). Start over.
+            self.lines.clear();
+            self.replay = FitReplay::default();
+            append_fit_record(self.lines, &FitRecord::Header { fingerprint }, u64::MAX)?;
+        }
+        let replay = &self.replay;
+        let resumed =
+            (replay.screened.len() + replay.refined.len() + replay.downgraded.len()) as u64;
+        appstore_obs::counter(appstore_obs::names::FIT_JOURNAL_CANDIDATES_RESUMED, resumed);
+        self.grid_len = grid_len as u64;
+        Ok(())
     }
-    if builder.is_empty() {
-        return Ok(None);
+
+    fn screened(&self, index: usize) -> Option<Option<Screened>> {
+        self.replay.screened.get(&(index as u64)).copied()
     }
-    if spec.refine_top == 0 {
-        return Ok(builder.best_screened());
+
+    fn seal_screened(&mut self, index: usize, result: Option<Screened>) -> Result<(), FitError> {
+        let index = index as u64;
+        let record = FitRecord::Screened {
+            index,
+            outcome: result.map(|(uf, o)| (uf.to_bits(), JournalOutcome::from(o))),
+        };
+        append_fit_record(self.lines, &record, index)
     }
-    let shortlist = builder.shortlist();
-    appstore_obs::counter(
-        appstore_obs::names::FIT_CLUSTERING_REFINED,
-        shortlist.len() as u64,
-    );
-    let refined = appstore_obs::span(
-        appstore_obs::names::SPAN_FIT_REFINE,
-        || -> Result<Vec<FitOutcome>, FitError> {
-            let grid_len = grid.len() as u64;
-            let mut resolved: Vec<Option<FitOutcome>> = vec![None; shortlist.len()];
-            let mut to_compute: Vec<(u64, FitOutcome)> = Vec::new();
-            for (i, &analytic) in shortlist.iter().enumerate() {
-                let index = i as u64;
-                if replay.downgraded.contains(&index) {
-                    resolved[i] = Some(analytic);
-                } else if let Some(&refined) = replay.refined.get(&index) {
-                    resolved[i] = Some(refined);
-                } else if let Some(over) = refine_deadline_exceeded(index, budget) {
-                    eprintln!(
-                        "WARN: fit candidate {index} exceeded its refinement deadline \
-                         ({over} ms of virtual latency); downgraded to screened-only score"
-                    );
-                    appstore_obs::counter(appstore_obs::names::FIT_REFINE_DEADLINE_DOWNGRADES, 1);
-                    append_fit_record(journal, &FitRecord::Downgraded { index }, grid_len + index)?;
-                    resolved[i] = Some(analytic);
-                } else {
-                    to_compute.push((index, analytic));
-                }
-            }
-            // Refined candidates keep their *shortlist* seed index, so a
-            // partially-resumed refinement draws exactly the streams an
-            // uninterrupted run would.
-            let computed = par_map_indexed(
-                to_compute,
-                spec.worker_count(),
-                |_, (index, outcome): (u64, FitOutcome)| {
-                    (
-                        index,
-                        refine_clustering_candidate(
-                            observed,
-                            spec,
-                            outcome,
-                            seed.child_indexed("clustering-refine", index),
-                        ),
-                    )
-                },
-            );
-            for (index, outcome) in computed {
-                append_fit_record(
-                    journal,
-                    &FitRecord::Refined {
-                        index,
-                        outcome: JournalOutcome::from(outcome),
-                    },
-                    grid_len + index,
-                )?;
-                resolved[index as usize] = Some(outcome);
-            }
-            Ok(resolved.into_iter().flatten().collect())
-        },
-    )?;
-    Ok(refined
-        .into_iter()
-        .min_by(|a, b| a.distance.total_cmp(&b.distance)))
+
+    fn settled(
+        &mut self,
+        index: usize,
+        analytic: FitOutcome,
+    ) -> Result<Option<FitOutcome>, FitError> {
+        let index = index as u64;
+        if self.replay.downgraded.contains(&index) {
+            return Ok(Some(analytic));
+        }
+        if let Some(&refined) = self.replay.refined.get(&index) {
+            return Ok(Some(refined));
+        }
+        let Some(over) = refine_deadline_exceeded(index, self.budget) else {
+            return Ok(None);
+        };
+        eprintln!(
+            "WARN: fit candidate {index} exceeded its refinement deadline \
+             ({over} ms of virtual latency); downgraded to screened-only score"
+        );
+        appstore_obs::counter(appstore_obs::names::FIT_REFINE_DEADLINE_DOWNGRADES, 1);
+        let record = FitRecord::Downgraded { index };
+        append_fit_record(self.lines, &record, self.grid_len + index)?;
+        Ok(Some(analytic))
+    }
+
+    fn seal_refined(&mut self, index: usize, outcome: FitOutcome) -> Result<(), FitError> {
+        let index = index as u64;
+        let record = FitRecord::Refined {
+            index,
+            outcome: JournalOutcome::from(outcome),
+        };
+        append_fit_record(self.lines, &record, self.grid_len + index)
+    }
 }
 
 /// How far over the [`CandidateBudget`] deadline the injected latency of
@@ -1864,68 +1889,5 @@ mod checkpoint_tests {
         let back = replay.refined[&3];
         assert_eq!(outcome, back);
         assert_eq!(outcome.distance.to_bits(), back.distance.to_bits());
-    }
-}
-
-#[cfg(test)]
-mod refine_tests {
-    use super::*;
-    use crate::simulate::Simulator;
-    use appstore_core::Seed;
-
-    #[test]
-    fn local_refinement_never_regresses() {
-        let params = ClusteringParams {
-            population: PopulationParams {
-                apps: 300,
-                users: 2000,
-                downloads_per_user: 6,
-                zipf_exponent: 1.4,
-            },
-            clusters: 15,
-            p: 0.9,
-            cluster_exponent: 1.4,
-            layout: ClusterLayout::Interleaved,
-        };
-        let mut observed = Simulator::app_clustering(params).simulate_counts(Seed::new(55));
-        observed.sort_unstable_by(|a, b| b.cmp(a));
-        let spec = FitSpec {
-            zipf_exponents: vec![1.0, 1.4, 1.8],
-            cluster_exponents: vec![1.0, 1.4],
-            ps: vec![0.5, 0.9],
-            user_fractions: vec![0.5, 1.0, 2.0],
-            clusters: 15,
-            threads: 2,
-            refine_top: 3,
-            replications: 1,
-            coarse: CoarseMode::Auto,
-        };
-        let seed = Seed::new(56);
-        let coarse = fit_clustering(&observed, &spec, seed).expect("coarse fit");
-        let fine = refine_locally(&observed, &coarse, &spec, seed);
-        assert!(
-            fine.distance <= coarse.distance,
-            "refined {} worse than coarse {}",
-            fine.distance,
-            coarse.distance
-        );
-    }
-
-    #[test]
-    fn refinement_on_empty_curve_is_identity() {
-        let coarse = FitOutcome {
-            kind: ModelKind::AppClustering,
-            zipf_exponent: 1.4,
-            cluster_exponent: 1.2,
-            p: 0.9,
-            users: 100,
-            downloads_per_user: 5,
-            distance: 0.5,
-        };
-        let spec = FitSpec::standard(10);
-        let refined = refine_locally(&[], &coarse, &spec, Seed::new(1));
-        assert_eq!(refined, coarse);
-        let refined = refine_locally(&[0, 0], &coarse, &spec, Seed::new(1));
-        assert_eq!(refined, coarse);
     }
 }

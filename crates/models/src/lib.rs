@@ -41,9 +41,9 @@ pub use expectation::{
     expected_downloads_zipf, expected_downloads_zipf_amo, ScreeningCache,
 };
 pub use fit::{
-    fit_clustering, fit_clustering_checkpointed, fit_zipf, fit_zipf_amo, refine_locally,
-    user_count_sweep, CandidateBudget, CoarseMode, FitError, FitOutcome, FitSpec,
-    SITE_FIT_JOURNAL_APPEND, SITE_FIT_REFINE,
+    fit_clustering, fit_clustering_checkpointed, fit_zipf, fit_zipf_amo, user_count_sweep,
+    CandidateBudget, CoarseMode, FitError, FitOutcome, FitSpec, SITE_FIT_JOURNAL_APPEND,
+    SITE_FIT_REFINE,
 };
 pub use kernel::ZipfFamily;
 pub use simulate::{DownloadTrace, Simulator};

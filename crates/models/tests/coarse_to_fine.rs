@@ -6,10 +6,11 @@
 
 #![allow(clippy::unwrap_used)]
 
+use appstore_core::faults::{with_injector, FaultInjector, FaultKind, FaultPlan, FaultTrigger};
 use appstore_core::Seed;
 use appstore_models::{
     fit_clustering, fit_clustering_checkpointed, CandidateBudget, ClusterLayout, ClusteringParams,
-    CoarseMode, FitSpec, PopulationParams, Simulator,
+    CoarseMode, FitSpec, PopulationParams, Simulator, SITE_FIT_JOURNAL_APPEND,
 };
 use proptest::prelude::*;
 
@@ -161,16 +162,16 @@ fn degenerate_sample_sizes_match() {
 
 #[test]
 fn checkpointed_exhaustive_matches_coarse_fit() {
-    // `fit_clustering_checkpointed` always screens the full grid (its
-    // journal addresses candidates by grid index), so agreement with
-    // the coarse in-memory fit is a second, independent witness of
-    // exhaustive-equivalence through the public API.
+    // With `CoarseMode::Off` the checkpointed fit screens the full grid,
+    // so agreement with the coarse in-memory fit is a second,
+    // independent witness of exhaustive-equivalence through the public
+    // API.
     let observed = store(300, 2500, 6, 1.2, 15, 5);
     let coarse = fit_clustering(&observed, &spec(15, CoarseMode::Auto), Seed::new(42)).unwrap();
     let mut journal = Vec::new();
     let checkpointed = fit_clustering_checkpointed(
         &observed,
-        &spec(15, CoarseMode::Auto),
+        &spec(15, CoarseMode::Off),
         Seed::new(42),
         CandidateBudget::UNLIMITED,
         &mut journal,
@@ -179,6 +180,136 @@ fn checkpointed_exhaustive_matches_coarse_fit() {
     .unwrap();
     assert_eq!(coarse, checkpointed);
     assert_eq!(coarse.distance.to_bits(), checkpointed.distance.to_bits());
+}
+
+/// The `--no-timings` snapshot of a registry that recorded only `fit`.
+fn snapshot<T>(fit: impl FnOnce() -> T) -> (T, String) {
+    let registry = appstore_obs::Registry::new();
+    let out = appstore_obs::with_registry(&registry, fit);
+    (out, registry.snapshot_json(true))
+}
+
+/// The snapshot's lines, minus the `fit.journal.*` counters.
+fn without_journal(snapshot: &str) -> Vec<&str> {
+    snapshot
+        .lines()
+        .filter(|line| !line.contains("\"fit.journal."))
+        .collect()
+}
+
+#[test]
+fn checkpointed_fit_runs_the_coarse_pass_like_the_plain_fit() {
+    // Both entry points share one pipeline, so with an empty journal the
+    // checkpointed fit screens, shortlists and refines exactly like the
+    // plain one: every counter and span matches but the journal's own.
+    let observed = store(300, 2500, 6, 1.2, 15, 5);
+    let spec = spec(15, CoarseMode::Auto);
+    let (plain, plain_metrics) = snapshot(|| fit_clustering(&observed, &spec, Seed::new(42)));
+    let mut journal = Vec::new();
+    let (checkpointed, checkpointed_metrics) = snapshot(|| {
+        fit_clustering_checkpointed(
+            &observed,
+            &spec,
+            Seed::new(42),
+            CandidateBudget::UNLIMITED,
+            &mut journal,
+        )
+    });
+    let checkpointed = checkpointed.unwrap();
+    assert_eq!(plain, checkpointed);
+    assert!(plain_metrics.contains("\"fit.coarse.survivors\""));
+    assert!(!plain_metrics.contains("\"fit.journal."));
+    assert!(checkpointed_metrics.contains("\"fit.journal.appends\""));
+    assert_eq!(
+        without_journal(&plain_metrics),
+        without_journal(&checkpointed_metrics)
+    );
+}
+
+#[test]
+fn coarse_checkpointed_fit_killed_mid_screen_resumes_exactly() {
+    let observed = store(300, 2500, 6, 1.2, 15, 5);
+    let spec = spec(15, CoarseMode::Auto);
+    let seed = Seed::new(42);
+    let reference = fit_clustering(&observed, &spec, seed).unwrap();
+    // The coarse survivors are not known up front, so the I/O error
+    // fires at a seeded random subset of journal appends; the first one
+    // to fire kills the run.
+    let plan = FaultPlan::seeded(5).rule(
+        SITE_FIT_JOURNAL_APPEND,
+        FaultKind::IoError,
+        FaultTrigger::Probability(0.05),
+    );
+    let injector = FaultInjector::new(plan);
+    let mut journal = Vec::new();
+    let registry = appstore_obs::Registry::new();
+    let killed = appstore_obs::with_registry(&registry, || {
+        with_injector(&injector, || {
+            fit_clustering_checkpointed(
+                &observed,
+                &spec,
+                seed,
+                CandidateBudget::UNLIMITED,
+                &mut journal,
+            )
+        })
+    });
+    assert!(killed.is_err(), "the injected I/O error must surface");
+    // Killed while sealing the screen: the header and some screening
+    // records made it, and the screened tally, recorded once sealing is
+    // done, never did.
+    assert!(registry.counter_value("fit.journal.appends") >= 2);
+    assert_eq!(registry.counter_value("fit.clustering.screened"), 0);
+    let registry = appstore_obs::Registry::new();
+    let resumed = appstore_obs::with_registry(&registry, || {
+        fit_clustering_checkpointed(
+            &observed,
+            &spec,
+            seed,
+            CandidateBudget::UNLIMITED,
+            &mut journal,
+        )
+    })
+    .unwrap()
+    .unwrap();
+    assert!(registry.counter_value("fit.journal.candidates_resumed") >= 1);
+    assert!(registry.counter_value("fit.coarse.survivors") >= 1);
+    assert_eq!(reference, resumed);
+    assert_eq!(reference.distance.to_bits(), resumed.distance.to_bits());
+}
+
+#[test]
+fn journal_of_another_coarse_plan_is_not_resumed() {
+    // The coarse plan decides the shortlist that refinement records are
+    // keyed by, so a journal written without the coarse pass must not
+    // seed a fit that runs it.
+    let observed = store(300, 2500, 6, 1.2, 15, 5);
+    let seed = Seed::new(42);
+    let mut journal = Vec::new();
+    fit_clustering_checkpointed(
+        &observed,
+        &spec(15, CoarseMode::Off),
+        seed,
+        CandidateBudget::UNLIMITED,
+        &mut journal,
+    )
+    .unwrap()
+    .unwrap();
+    let auto = spec(15, CoarseMode::Auto);
+    let registry = appstore_obs::Registry::new();
+    let resumed = appstore_obs::with_registry(&registry, || {
+        fit_clustering_checkpointed(
+            &observed,
+            &auto,
+            seed,
+            CandidateBudget::UNLIMITED,
+            &mut journal,
+        )
+    })
+    .unwrap()
+    .unwrap();
+    assert_eq!(registry.counter_value("fit.journal.candidates_resumed"), 0);
+    assert_eq!(resumed, fit_clustering(&observed, &auto, seed).unwrap());
 }
 
 proptest! {

@@ -23,8 +23,6 @@ pub const CORE_PAR_TASKS: &str = "core.par.tasks";
 pub const CORE_PAR_WORKER_TASKS: &str = "core.par.worker_tasks";
 /// Worker panics caught and retried by `par_map_indexed`.
 pub const CORE_PAR_PANICS_ISOLATED: &str = "core.par.panics_isolated";
-/// Tasks dropped by `par_map_indexed_lossy` after a failed retry.
-pub const CORE_PAR_TASKS_DEGRADED: &str = "core.par.tasks_degraded";
 /// Faults fired by the deterministic fault injector.
 pub const FAULTS_INJECTED: &str = "faults.injected";
 /// Gap-repair passes executed.
@@ -248,7 +246,6 @@ pub const ALL_METRICS: &[&str] = &[
     CORE_PAR_TASKS,
     CORE_PAR_WORKER_TASKS,
     CORE_PAR_PANICS_ISOLATED,
-    CORE_PAR_TASKS_DEGRADED,
     FAULTS_INJECTED,
     CORE_QUALITY_REPAIRS,
     CORE_QUALITY_GAP_DAYS_FILLED,

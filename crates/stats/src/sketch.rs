@@ -354,10 +354,8 @@ mod tests {
             let target = ((q * values.len() as f64).ceil() as u64).clamp(1, values.len() as u64);
             let rank_err = if target < lo {
                 lo - target
-            } else if target > hi {
-                target - hi
             } else {
-                0
+                target.saturating_sub(hi)
             };
             assert!(
                 rank_err <= bound,

@@ -22,10 +22,8 @@ fn rank_error(sorted: &[u64], q: f64, approx: u64) -> u64 {
     let target = ((q * sorted.len() as f64).ceil() as u64).clamp(1, sorted.len() as u64);
     if target < lo {
         lo - target
-    } else if target > hi {
-        target - hi
     } else {
-        0
+        target.saturating_sub(hi)
     }
 }
 
