@@ -45,10 +45,10 @@
 use appstore_core::faults::InjectedPanic;
 use appstore_core::Seed;
 use appstore_obs::Registry;
+use bench::experiments::{select, streaming_experiments};
 use bench::{
-    is_streaming_id, run_experiments_observed, run_experiments_observed_with,
-    run_streaming_experiment, ExperimentResult, Stores, StreamingStores, EXPERIMENT_IDS,
-    STREAMING_IDS,
+    run_experiments_observed_with, Experiment, ExperimentResult, Stores, StreamingStores,
+    EXPERIMENTS, EXPERIMENT_IDS,
 };
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -322,37 +322,28 @@ fn main() {
         return;
     }
 
-    let ids: Vec<&str> = if args.experiments.iter().any(|e| e == "all") {
+    let experiments: Vec<&'static Experiment> = if args.experiments.iter().any(|e| e == "all") {
         if args.streaming {
             // The out-of-core path implements the fold-based analyses;
             // `all` means "everything this mode can run".
+            let folds: Vec<&'static Experiment> = streaming_experiments().collect();
+            let ids: Vec<&str> = folds.iter().map(|e| e.id).collect();
             eprintln!(
                 "streaming mode: running the fold-based experiments ({})",
-                STREAMING_IDS.join(", ")
+                ids.join(", ")
             );
-            STREAMING_IDS.to_vec()
+            folds
         } else {
-            EXPERIMENT_IDS.to_vec()
+            EXPERIMENTS.iter().collect()
         }
     } else {
-        args.experiments.iter().map(String::as_str).collect()
+        // Validate ids before paying for generation.
+        let ids: Vec<&str> = args.experiments.iter().map(String::as_str).collect();
+        select(&ids, args.streaming).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        })
     };
-
-    // Validate ids before paying for generation.
-    for id in &ids {
-        if !EXPERIMENT_IDS.contains(id) {
-            eprintln!("unknown experiment: {id} (try `repro list`)");
-            std::process::exit(2);
-        }
-        if args.streaming && !is_streaming_id(id) {
-            eprintln!(
-                "experiment {id} has no streaming implementation \
-                 (streaming ids: {})",
-                STREAMING_IDS.join(", ")
-            );
-            std::process::exit(2);
-        }
-    }
 
     let started = Instant::now();
     eprintln!(
@@ -413,16 +404,19 @@ fn main() {
             );
             return appstore_obs::with_track(1, || {
                 run_experiments_observed_with(
-                    &ids,
+                    &experiments,
                     seed,
                     args.threads,
                     |id, secs| {
                         eprintln!("[{id} in {secs:.3}s]");
                     },
-                    |id, seed| {
-                        run_streaming_experiment(id, &streaming, seed)
-                            .expect("ids validated against STREAMING_IDS")
-                            .unwrap_or_else(|err| panic!("streaming {id} failed: {err}"))
+                    |experiment, seed| {
+                        experiment
+                            .run_streaming(&streaming, seed)
+                            .expect("streaming runs select experiments with a fold")
+                            .unwrap_or_else(|err| {
+                                panic!("streaming {} failed: {err}", experiment.id)
+                            })
                     },
                 )
             });
@@ -437,9 +431,15 @@ fn main() {
         // printed in id order below so stdout is byte-identical for any
         // --threads. Wall times go to stderr in completion order.
         appstore_obs::with_track(1, || {
-            run_experiments_observed(&ids, &stores, seed, args.threads, |id, secs| {
-                eprintln!("[{id} in {secs:.3}s]");
-            })
+            run_experiments_observed_with(
+                &experiments,
+                seed,
+                args.threads,
+                |id, secs| {
+                    eprintln!("[{id} in {secs:.3}s]");
+                },
+                |experiment, seed| experiment.run_in_memory(&stores, seed),
+            )
         })
     };
     let results = match &tracer {

@@ -1,6 +1,6 @@
 //! Figures 5–7: user comment behaviour and temporal affinity.
 
-use crate::experiments::{gap_repaired, ExperimentResult};
+use crate::experiments::{gap_repaired, Output};
 use crate::stores::Stores;
 use appstore_affinity::{
     affinity_by_group, affinity_samples, build_user_streams, downloads_share_by_category,
@@ -11,7 +11,7 @@ use serde_json::json;
 
 /// Fig. 5 — comments per user, unique categories per user, top-k comment
 /// shares, and downloads per category (Anzhi).
-pub fn fig5(stores: &Stores) -> ExperimentResult {
+pub fn fig5(stores: &Stores) -> Output {
     let anzhi = stores.anzhi();
     // The affinity analysis runs on the gap-repaired view of the crawl.
     let (view, coverage) = gap_repaired(&anzhi.store.dataset);
@@ -28,7 +28,7 @@ pub fn fig5_from_profiles(
     profiles: &[UserCommentProfile],
     downloads_per_category: &[u64],
     coverage: &str,
-) -> ExperimentResult {
+) -> Output {
     let mut lines = Vec::new();
 
     // (a) comments per user.
@@ -82,9 +82,7 @@ pub fn fig5_from_profiles(
     lines.push("    paper: most popular category has 12%; majority below 4%".into());
     lines.push(format!("anzhi: {coverage}"));
 
-    ExperimentResult {
-        id: "fig5",
-        title: "Users focus on a few categories (Anzhi comments)",
+    Output {
         lines,
         json: json!({
             "coverage": coverage,
@@ -101,7 +99,7 @@ pub fn fig5_from_profiles(
 
 /// Fig. 6 — temporal affinity by comment-count group at depths 1–3 vs
 /// the exact random-walk baselines.
-pub fn fig6(stores: &Stores) -> ExperimentResult {
+pub fn fig6(stores: &Stores) -> Output {
     let anzhi = stores.anzhi();
     let d = &anzhi.store.dataset;
     let streams = build_user_streams(&d.comments, |a| d.category_of(a));
@@ -135,9 +133,7 @@ pub fn fig6(stores: &Stores) -> ExperimentResult {
     }
     lines.push("paper: depth-1 affinity ~0.55 vs 0.14 random walk (3.9x);".into());
     lines.push("       baselines 0.14 / 0.28 / 0.42 at depths 1-3".into());
-    ExperimentResult {
-        id: "fig6",
-        title: "Successive selections stay in the same category",
+    Output {
         lines,
         json: json!({ "depths": series }),
     }
@@ -145,7 +141,7 @@ pub fn fig6(stores: &Stores) -> ExperimentResult {
 
 /// Fig. 7 — CDF of per-user affinity at depths 1–3 (paper medians 0.5 /
 /// 0.58 / 0.67).
-pub fn fig7(stores: &Stores) -> ExperimentResult {
+pub fn fig7(stores: &Stores) -> Output {
     let anzhi = stores.anzhi();
     let d = &anzhi.store.dataset;
     let streams = build_user_streams(&d.comments, |a| d.category_of(a));
@@ -172,9 +168,7 @@ pub fn fig7(stores: &Stores) -> ExperimentResult {
             "cdf": ecdf.curve(50),
         }));
     }
-    ExperimentResult {
-        id: "fig7",
-        title: "CDF of per-user temporal affinity (depths 1-3)",
+    Output {
         lines,
         json: json!({ "depths": series }),
     }
@@ -183,7 +177,7 @@ pub fn fig7(stores: &Stores) -> ExperimentResult {
 /// Ablation: is category interest stable over calendar time? (Extension
 /// beyond the paper, motivated by its §7 "recommend the most recent
 /// interests" suggestion.)
-pub fn ablate_drift(stores: &Stores) -> ExperimentResult {
+pub fn ablate_drift(stores: &Stores) -> Output {
     use appstore_affinity::{affinity_over_windows, interest_retention};
     let anzhi = stores.anzhi();
     let d = &anzhi.store.dataset;
@@ -212,9 +206,7 @@ pub fn ablate_drift(stores: &Stores) -> ExperimentResult {
     }
     lines.push("stable in-window affinity + high retention justify recency-".into());
     lines.push("based recommendation over full-history collaborative filtering".into());
-    ExperimentResult {
-        id: "ablate-drift",
-        title: "Ablation: affinity stability over calendar time",
+    Output {
         lines,
         json: json!({
             "windows": windows.iter().map(|w| json!({
@@ -226,7 +218,7 @@ pub fn ablate_drift(stores: &Stores) -> ExperimentResult {
 }
 
 /// Ablation: affinity estimate sensitivity to spam filtering and depth.
-pub fn ablate_depth(stores: &Stores) -> ExperimentResult {
+pub fn ablate_depth(stores: &Stores) -> Output {
     let anzhi = stores.anzhi();
     let d = &anzhi.store.dataset;
     let streams = build_user_streams(&d.comments, |a| d.category_of(a));
@@ -256,9 +248,7 @@ pub fn ablate_depth(stores: &Stores) -> ExperimentResult {
     lines.push("a dozen spam accounts among ~100k commenters cannot move the".into());
     lines.push("per-user mean; their real damage is to the *high-comment-count*".into());
     lines.push("groups of Fig. 6, which the paper's group-size filter removes".into());
-    ExperimentResult {
-        id: "ablate-depth",
-        title: "Ablation: affinity vs depth and spam filtering",
+    Output {
         lines,
         json: json!({ "depths": series }),
     }

@@ -1,6 +1,6 @@
 //! Figures 17–18: break-even ad income (Eq. 7).
 
-use crate::experiments::ExperimentResult;
+use crate::experiments::Output;
 use crate::stores::Stores;
 use appstore_revenue::{
     ad_fraction_of_free_apps, breakeven_by_category, breakeven_by_tier, breakeven_over_time,
@@ -11,7 +11,7 @@ use serde_json::json;
 /// Fig. 17 — break-even ad income per download: overall, by popularity
 /// tier, and over the last months of the campaign (paper: $0.21 average,
 /// $0.033 for popular apps, $1.56 for unpopular ones; drops over time).
-pub fn fig17(stores: &Stores) -> ExperimentResult {
+pub fn fig17(stores: &Stores) -> Output {
     let d = &stores.slideme().store.dataset;
     let overall = breakeven_overall(d).unwrap_or(f64::NAN);
     let tiers = breakeven_by_tier(d);
@@ -46,9 +46,7 @@ pub fn fig17(stores: &Stores) -> ExperimentResult {
             }
         ));
     }
-    ExperimentResult {
-        id: "fig17",
-        title: "Free apps with ads can out-earn paid apps",
+    Output {
         lines,
         json: json!({
             "ad_fraction": ad_fraction,
@@ -61,7 +59,7 @@ pub fn fig17(stores: &Stores) -> ExperimentResult {
 
 /// Fig. 18 — break-even ad income per category (paper: music ≈ $1.60
 /// down to ≈ $0.002 for wallpapers/e-books, three orders of magnitude).
-pub fn fig18(stores: &Stores) -> ExperimentResult {
+pub fn fig18(stores: &Stores) -> Output {
     let d = &stores.slideme().store.dataset;
     let by_category = breakeven_by_category(d);
     let mut lines = Vec::new();
@@ -81,9 +79,7 @@ pub fn fig18(stores: &Stores) -> ExperimentResult {
         ));
     }
     lines.push("paper: music $1.60 ... e-books/wallpapers ~$0.002 (~800x)".into());
-    ExperimentResult {
-        id: "fig18",
-        title: "Break-even ad income per category",
+    Output {
         lines,
         json: json!({ "categories": by_category }),
     }

@@ -1,6 +1,6 @@
 //! Figure 19 and the cache-policy / cluster-layout ablations.
 
-use crate::experiments::ExperimentResult;
+use crate::experiments::Output;
 use appstore_cache::{belady_hit_ratio, sweep_cache_sizes, sweep_policies_on_trace};
 use appstore_core::Seed;
 use appstore_models::{
@@ -34,7 +34,7 @@ pub(crate) fn fig19_params() -> ClusteringParams {
 /// Fig. 19 — LRU hit ratio vs cache size (1–20% of apps) under the three
 /// workload models (paper: ZIPF >99%, AMO 94.5–99%, APP-CLUSTERING
 /// 67.1–96.3%).
-pub fn fig19(seed: Seed) -> ExperimentResult {
+pub fn fig19(seed: Seed) -> Output {
     let fractions = [0.01, 0.02, 0.05, 0.10, 0.15, 0.20];
     let points = sweep_cache_sizes(fig19_params(), &fractions, seed.child("fig19"), false, 0);
     let mut lines = Vec::new();
@@ -72,9 +72,7 @@ pub fn fig19(seed: Seed) -> ExperimentResult {
     }
     lines.push("paper: ZIPF >99%; ZIPF-at-most-once 94.5->99%;".into());
     lines.push("       APP-CLUSTERING 67.1% -> 96.3% — clustering hurts LRU".into());
-    ExperimentResult {
-        id: "fig19",
-        title: "Clustering-based behaviour degrades LRU caching",
+    Output {
         lines,
         json: json!({ "fractions": fractions, "models": series }),
     }
@@ -84,7 +82,7 @@ pub fn fig19(seed: Seed) -> ExperimentResult {
 /// Runs all five policies on the clustering workload (paper §7 suggests
 /// "new replacement policies… taking into account the clustering-based
 /// user behavior").
-pub fn ablate_policies(seed: Seed) -> ExperimentResult {
+pub fn ablate_policies(seed: Seed) -> Output {
     let fractions = [0.01, 0.05, 0.10];
     // Only the clustering workload is reported here, so simulate its
     // trace exactly once — with the same seed chain `sweep_cache_sizes`
@@ -151,9 +149,7 @@ pub fn ablate_policies(seed: Seed) -> ExperimentResult {
     lines.push("recency — SLRU/LFU beat naive category protection, and the".into());
     lines.push("Belady gap is the headroom per-user prefetching (§7) targets".into());
     series.push(json!({ "policy": "Belady", "hit_ratios": optimal }));
-    ExperimentResult {
-        id: "ablate-policies",
-        title: "Ablation: replacement policies under the clustering workload",
+    Output {
         lines,
         json: json!({ "fractions": fractions, "policies": series }),
     }
@@ -163,8 +159,7 @@ pub fn ablate_policies(seed: Seed) -> ExperimentResult {
 /// the cluster layout (the paper assumes equal-size clusters with
 /// consistent rankings; the blocked layout concentrates all popular apps
 /// in one cluster and visibly changes the curve).
-pub fn ablate_cluster_size(seed: Seed) -> ExperimentResult {
-    let _ = seed; // analytic experiment; kept for signature symmetry
+pub fn ablate_cluster_size() -> Output {
     let base = ClusteringParams {
         population: PopulationParams {
             apps: 2_000,
@@ -201,9 +196,7 @@ pub fn ablate_cluster_size(seed: Seed) -> ExperimentResult {
     lines.push("the blocked layout starves every cluster but the first of popular".into());
     lines.push("apps, flattening the head — the interleaved layout matches the".into());
     lines.push("paper's assumption that every category has its own hits".into());
-    ExperimentResult {
-        id: "ablate-cluster-size",
-        title: "Ablation: cluster layout sensitivity of APP-CLUSTERING",
+    Output {
         lines,
         json: json!({
             "divergence": divergence,

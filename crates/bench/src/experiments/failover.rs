@@ -26,7 +26,7 @@
 use crate::experiments::serve_replay::{
     json_u64_field, rank_ordered_dataset, scrape, slo_json, stats_json,
 };
-use crate::experiments::{cache::fig19_params, ExperimentResult};
+use crate::experiments::{cache::fig19_params, Output};
 use appstore_core::faults::{with_injector, FaultInjector, FaultKind, FaultPlan, FaultTrigger};
 use appstore_core::Seed;
 use appstore_models::{ModelKind, Simulator};
@@ -122,7 +122,7 @@ fn failover_plan() -> FaultPlan {
 }
 
 /// `serve-failover`: replica chaos, hedged failover, anti-entropy.
-pub fn run(seed: Seed) -> ExperimentResult {
+pub fn run(seed: Seed) -> Output {
     let params = fig19_params();
     let apps = params.population.apps;
     let cache_apps = ((apps as f64 * CACHE_FRACTION).round() as usize).max(1);
@@ -340,9 +340,7 @@ pub fn run(seed: Seed) -> ExperimentResult {
         })
         .collect();
 
-    ExperimentResult {
-        id: "serve-failover",
-        title: "Replicated backing tier under replica chaos",
+    Output {
         lines,
         json: json!({
             "replicas": REPLICAS,

@@ -1,6 +1,6 @@
 //! Figures 13–16: developer income distribution and strategies.
 
-use crate::experiments::ExperimentResult;
+use crate::experiments::Output;
 use crate::stores::Stores;
 use appstore_revenue::{category_shares, developer_incomes, developer_strategies};
 use appstore_stats::{gini, pearson, Ecdf};
@@ -8,7 +8,7 @@ use serde_json::json;
 
 /// Fig. 13 — CDF of total income per developer (paper: half below $10,
 /// 27% zero, 80% below $100, a tiny head with very large income).
-pub fn fig13(stores: &Stores) -> ExperimentResult {
+pub fn fig13(stores: &Stores) -> Output {
     let d = &stores.slideme().store.dataset;
     let incomes = developer_incomes(d);
     let dollars: Vec<f64> = incomes.iter().map(|i| i.income.as_dollars()).collect();
@@ -30,9 +30,7 @@ pub fn fig13(stores: &Stores) -> ExperimentResult {
         gini(&counts).unwrap_or(f64::NAN)
     ));
     lines.push("paper: 27% zero, 50% < $10, 80% < $100, 95% < $1500; ~1% above $2M".into());
-    ExperimentResult {
-        id: "fig13",
-        title: "Most developers have negligible income from paid apps",
+    Output {
         lines,
         json: json!({
             "developers": incomes.len(),
@@ -48,7 +46,7 @@ pub fn fig13(stores: &Stores) -> ExperimentResult {
 
 /// Fig. 14 — income vs number of paid apps per developer (paper: no
 /// correlation, Pearson 0.008 — quality over quantity).
-pub fn fig14(stores: &Stores) -> ExperimentResult {
+pub fn fig14(stores: &Stores) -> Output {
     let d = &stores.slideme().store.dataset;
     let incomes = developer_incomes(d);
     let apps: Vec<f64> = incomes.iter().map(|i| i.paid_apps as f64).collect();
@@ -73,9 +71,7 @@ pub fn fig14(stores: &Stores) -> ExperimentResult {
         "avg income: single-app devs ${single:.0}, 5+-app devs ${many:.0}"
     ));
     lines.push("more apps do not imply more income — quality over quantity".into());
-    ExperimentResult {
-        id: "fig14",
-        title: "Quality is more important than quantity",
+    Output {
         lines,
         json: json!({
             "pearson": r,
@@ -88,7 +84,7 @@ pub fn fig14(stores: &Stores) -> ExperimentResult {
 /// Fig. 15 — revenue / apps / developers percentage per category
 /// (paper: music 67.7% revenue from 1.6% of apps; e-books 33.2% of apps
 /// for 0.1% of revenue; top four categories: 95% of revenue).
-pub fn fig15(stores: &Stores) -> ExperimentResult {
+pub fn fig15(stores: &Stores) -> Output {
     let d = &stores.slideme().store.dataset;
     let shares = category_shares(d);
     let mut lines = Vec::new();
@@ -118,9 +114,7 @@ pub fn fig15(stores: &Stores) -> ExperimentResult {
             e.revenue_share * 100.0
         ));
     }
-    ExperimentResult {
-        id: "fig15",
-        title: "Revenue comes from few categories (music-heavy)",
+    Output {
         lines,
         json: json!({
             "top4_revenue": top4,
@@ -137,7 +131,7 @@ pub fn fig15(stores: &Stores) -> ExperimentResult {
 /// Fig. 16 — apps per developer and categories per developer, split by
 /// tier (paper: 60%/70% single-app; 95% under 10 apps; 99% within five
 /// categories; strategy mix 75/15/10).
-pub fn fig16(stores: &Stores) -> ExperimentResult {
+pub fn fig16(stores: &Stores) -> Output {
     let d = &stores.slideme().store.dataset;
     let mix = developer_strategies(d);
     let free_apps = Ecdf::from_counts(&mix.free_apps_per_developer);
@@ -170,9 +164,7 @@ pub fn fig16(stores: &Stores) -> ExperimentResult {
     lines.push(format!(
         "apps per developer: {apps_per_dev:.1}   (paper: 4.3)"
     ));
-    ExperimentResult {
-        id: "fig16",
-        title: "Developers create few apps focused on few categories",
+    Output {
         lines,
         json: json!({
             "free_only": mix.free_only,

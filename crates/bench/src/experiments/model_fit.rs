@@ -1,6 +1,6 @@
 //! Figures 8–10: model fitting against the measured popularity curves.
 
-use crate::experiments::{gap_repaired, ExperimentResult};
+use crate::experiments::{gap_repaired, Output};
 use crate::stores::Stores;
 use appstore_core::Seed;
 use appstore_models::{
@@ -41,7 +41,7 @@ fn fit_all(observed: &[u64], clusters: usize, seed: Seed) -> (FitOutcome, FitOut
 /// Fig. 8 — best-fit parameters and distances per store on the final
 /// snapshot (paper reports e.g. AppChina: ZIPF z=1.4, AMO z=1.6,
 /// APP-CLUSTERING z_r=1.7, p=0.9, z_c=1.4).
-pub fn fig8(stores: &Stores, seed: Seed) -> ExperimentResult {
+pub fn fig8(stores: &Stores, seed: Seed) -> Output {
     let inputs: Vec<FitInput> = FIT_STORES
         .iter()
         .map(|&name| {
@@ -76,7 +76,7 @@ pub struct FitInput {
 /// Fig. 8 kernel: fits the three models per store. `seed` is the same
 /// `experiments`-child seed `fig8` receives, and each store's fits are
 /// seeded with `seed.child(name)` exactly as the in-memory path does.
-pub fn fig8_from_inputs(inputs: &[FitInput], seed: Seed) -> ExperimentResult {
+pub fn fig8_from_inputs(inputs: &[FitInput], seed: Seed) -> Output {
     let mut lines = Vec::new();
     let mut series = Vec::new();
     lines.push(format!(
@@ -111,9 +111,7 @@ pub fn fig8_from_inputs(inputs: &[FitInput], seed: Seed) -> ExperimentResult {
     }
     lines.extend(coverage);
     lines.push("paper: APP-CLUSTERING fits closest, best p = 0.90-0.95".into());
-    ExperimentResult {
-        id: "fig8",
-        title: "Predicted vs measured app popularity per store",
+    Output {
         lines,
         json: json!({ "stores": series }),
     }
@@ -133,7 +131,7 @@ fn fit_json(fit: &FitOutcome) -> serde_json::Value {
 /// Fig. 9 — distance from measured data for the three models on the
 /// first and last day of each store's campaign (paper: APP-CLUSTERING
 /// up to 7.2× closer than ZIPF, 6.4× than ZIPF-at-most-once).
-pub fn fig9(stores: &Stores, seed: Seed) -> ExperimentResult {
+pub fn fig9(stores: &Stores, seed: Seed) -> Output {
     let mut lines = Vec::new();
     let mut series = Vec::new();
     lines.push(format!(
@@ -168,9 +166,7 @@ pub fn fig9(stores: &Stores, seed: Seed) -> ExperimentResult {
         }
     }
     lines.push("paper: APP-CLUSTERING smallest everywhere (up to 7.2x closer)".into());
-    ExperimentResult {
-        id: "fig9",
-        title: "Model distance from measured data (first/last day)",
+    Output {
         lines,
         json: json!({ "points": series }),
     }
@@ -178,7 +174,7 @@ pub fn fig9(stores: &Stores, seed: Seed) -> ExperimentResult {
 
 /// Fig. 10 — distance vs the assumed user count, expressed as a fraction
 /// of the most popular app's downloads (paper: minimum near 1).
-pub fn fig10(stores: &Stores, seed: Seed) -> ExperimentResult {
+pub fn fig10(stores: &Stores, seed: Seed) -> Output {
     let fractions = [0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0];
     let mut lines = Vec::new();
     let mut series = Vec::new();
@@ -225,9 +221,7 @@ pub fn fig10(stores: &Stores, seed: Seed) -> ExperimentResult {
         }));
     }
     lines.push("paper: minimum distance when users ~= downloads of the top app".into());
-    ExperimentResult {
-        id: "fig10",
-        title: "Choosing the number of users U (distance vs U)",
+    Output {
         lines,
         json: json!({ "stores": series }),
     }
@@ -235,7 +229,7 @@ pub fn fig10(stores: &Stores, seed: Seed) -> ExperimentResult {
 
 /// Ablation: distance vs the clustering probability `p` with the other
 /// parameters fixed at their best fit (the paper's 90–95% claim).
-pub fn ablate_p(stores: &Stores, seed: Seed) -> ExperimentResult {
+pub fn ablate_p(stores: &Stores, seed: Seed) -> Output {
     let bundle = stores.anzhi();
     let observed = bundle.store.dataset.final_downloads_ranked();
     let clusters = feasible_clusters(bundle.profile.categories, observed.len());
@@ -267,9 +261,7 @@ pub fn ablate_p(stores: &Stores, seed: Seed) -> ExperimentResult {
         series.push(json!({ "p": p, "distance": distance }));
     }
     lines.push("paper: distance shrinks as p rises; best at 0.90-0.95".into());
-    ExperimentResult {
-        id: "ablate-p",
-        title: "Ablation: fit distance vs clustering probability p",
+    Output {
         lines,
         json: json!({ "points": series }),
     }

@@ -1,6 +1,6 @@
 //! Figures 2–4: Pareto effect, truncated-Zipf popularity, update CDF.
 
-use crate::experiments::{gap_repaired, ExperimentResult};
+use crate::experiments::{gap_repaired, Output};
 use crate::stores::Stores;
 use appstore_stats::{
     powerlaw_cutoff_fit, top_share, top_share_curve, zipf_fit_loglog, zipf_fit_trunk, Ecdf,
@@ -9,7 +9,7 @@ use serde_json::json;
 
 /// Fig. 2 — cumulative download share vs normalized app rank per store,
 /// with the headline top-1% and top-10% shares.
-pub fn fig2(stores: &Stores) -> ExperimentResult {
+pub fn fig2(stores: &Stores) -> Output {
     let mut lines = Vec::new();
     let mut series = Vec::new();
     lines.push(format!(
@@ -40,9 +40,7 @@ pub fn fig2(stores: &Stores) -> ExperimentResult {
     }
     lines.push("paper: top 10% of apps account for 70-90% of downloads;".into());
     lines.push("       top 1% for 30-70% depending on the store".into());
-    ExperimentResult {
-        id: "fig2",
-        title: "CDF of downloads vs normalized app ranking (Pareto effect)",
+    Output {
         lines,
         json: json!({ "stores": series }),
     }
@@ -56,14 +54,14 @@ pub struct PopularityInput {
     pub name: String,
     /// Free-app final downloads, sorted descending.
     pub ranked: Vec<u64>,
-    /// Coverage annotation (from [`gap_repaired`] or its streaming twin).
+    /// Coverage annotation (from `gap_repaired` or its streaming twin).
     pub note: String,
 }
 
 /// Fig. 3 — downloads vs rank (log-log) per store with the trunk Zipf
 /// exponent (paper: Anzhi 1.42, AppChina 1.51, 1Mobile 0.92, SlideMe
 /// 0.90) and the double truncation evidence.
-pub fn fig3(stores: &Stores) -> ExperimentResult {
+pub fn fig3(stores: &Stores) -> Output {
     let inputs: Vec<PopularityInput> = stores
         .bundles
         .iter()
@@ -98,7 +96,7 @@ pub fn fig3(stores: &Stores) -> ExperimentResult {
 
 /// Fig. 3 kernel over pre-ranked download vectors. All fitting and
 /// formatting lives here so the streaming path reuses it verbatim.
-pub fn fig3_from_inputs(inputs: &[PopularityInput]) -> ExperimentResult {
+pub fn fig3_from_inputs(inputs: &[PopularityInput]) -> Output {
     let mut lines = Vec::new();
     let mut series = Vec::new();
     lines.push(format!(
@@ -149,9 +147,7 @@ pub fn fig3_from_inputs(inputs: &[PopularityInput]) -> ExperimentResult {
     lines.push(
         "paper trunk exponents: anzhi 1.42, appchina 1.51, 1mobile 0.92, slideme 0.90".into(),
     );
-    ExperimentResult {
-        id: "fig3",
-        title: "App popularity distribution: Zipf trunk, truncated ends",
+    Output {
         lines,
         json: json!({ "stores": series }),
     }
@@ -159,7 +155,7 @@ pub fn fig3_from_inputs(inputs: &[PopularityInput]) -> ExperimentResult {
 
 /// Fig. 4 — CDF of updates per app over the campaign (paper: >80% never
 /// updated; 99% have fewer than four; top-10% apps update more).
-pub fn fig4(stores: &Stores) -> ExperimentResult {
+pub fn fig4(stores: &Stores) -> Output {
     let mut lines = Vec::new();
     let mut series = Vec::new();
     lines.push(format!(
@@ -209,9 +205,7 @@ pub fn fig4(stores: &Stores) -> ExperimentResult {
     }
     lines.push("paper: >80% of apps with zero updates; 99% below four;".into());
     lines.push("       60-75% of the top-10% apps have no updates".into());
-    ExperimentResult {
-        id: "fig4",
-        title: "CDF of the number of updates per app (fetch-at-most-once)",
+    Output {
         lines,
         json: json!({ "stores": series }),
     }
@@ -222,7 +216,7 @@ pub fn fig4(stores: &Stores) -> ExperimentResult {
 /// which the paper says "is similar to the app popularity distribution
 /// we observe in our study"? Compares log-space fit quality of a pure
 /// power law vs one with a cutoff term on every store's free-app curve.
-pub fn ablate_cutoff(stores: &Stores) -> ExperimentResult {
+pub fn ablate_cutoff(stores: &Stores) -> Output {
     let mut lines = Vec::new();
     let mut series = Vec::new();
     lines.push(format!(
@@ -260,9 +254,7 @@ pub fn ablate_cutoff(stores: &Stores) -> ExperimentResult {
     lines.push("the cutoff term absorbs the collapsed tail the clustering effect".into());
     lines.push("produces — app popularity matches UGC video (power law with".into());
     lines.push("exponential cutoff) better than pure Zipf, as the paper notes".into());
-    ExperimentResult {
-        id: "ablate-cutoff",
-        title: "Ablation: power law with exponential cutoff (UGC analogy)",
+    Output {
         lines,
         json: json!({ "stores": series }),
     }

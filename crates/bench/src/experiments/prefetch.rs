@@ -1,6 +1,6 @@
 //! The §7 prefetching experiment.
 
-use crate::experiments::ExperimentResult;
+use crate::experiments::Output;
 use crate::stores::Stores;
 use appstore_cache::PrefetchSimulator;
 use serde_json::json;
@@ -8,7 +8,7 @@ use serde_json::json;
 /// Replays Anzhi's generated download trace through the category
 /// prefetcher at several fanouts and reports hit and waste rates — the
 /// feasibility check for the paper's §7 "effective prefetching" idea.
-pub fn run(stores: &Stores) -> ExperimentResult {
+pub fn run(stores: &Stores) -> Output {
     let bundle = stores.anzhi();
     let catalog = &bundle.store.catalog;
     let trace = &bundle.store.outcome.events;
@@ -45,9 +45,7 @@ pub fn run(stores: &Stores) -> ExperimentResult {
     lines.push("prefetching the user's current category converts a large share".into());
     lines.push("of next downloads into local hits — §7's suggestion quantified,".into());
     lines.push("with the bandwidth cost made explicit as the waste rate".into());
-    ExperimentResult {
-        id: "prefetch",
-        title: "Category prefetching (paper §7), hit rate vs waste",
+    Output {
         lines,
         json: json!({ "points": series }),
     }

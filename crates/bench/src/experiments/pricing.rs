@@ -1,6 +1,6 @@
 //! Figures 11–12: paid vs free popularity, and price effects.
 
-use crate::experiments::ExperimentResult;
+use crate::experiments::Output;
 use crate::stores::Stores;
 use appstore_core::PricingTier;
 use appstore_revenue::{price_bins, price_correlations};
@@ -27,7 +27,7 @@ fn slideme_ranked_by_tier(stores: &Stores) -> (Vec<u64>, Vec<u64>) {
 /// Fig. 11 — download distributions of free vs paid SlideMe apps.
 /// Paper: free apps show the truncated curve (trunk slope 0.85); paid
 /// apps follow a clean power law with slope 1.72.
-pub fn fig11(stores: &Stores) -> ExperimentResult {
+pub fn fig11(stores: &Stores) -> Output {
     let (free, paid) = slideme_ranked_by_tier(stores);
     let free_trunk = zipf_fit_trunk(&free, free.len() / 50, free.len() / 4);
     let free_full = zipf_fit_loglog(&free);
@@ -61,9 +61,7 @@ pub fn fig11(stores: &Stores) -> ExperimentResult {
         p_r2, ff_r2
     ));
     lines.push("paper: free trunk 0.85; paid 1.72, a clean power law".into());
-    ExperimentResult {
-        id: "fig11",
-        title: "Paid apps follow a clear Zipf distribution (SlideMe)",
+    Output {
         lines,
         json: json!({
             "free": { "apps": free.len(), "trunk_z": ft_z, "full_z": ff_z, "full_r2": ff_r2 },
@@ -74,7 +72,7 @@ pub fn fig11(stores: &Stores) -> ExperimentResult {
 
 /// Fig. 12 — downloads and app counts per one-dollar price bin with the
 /// two Pearson correlations (paper: −0.229 and −0.240).
-pub fn fig12(stores: &Stores) -> ExperimentResult {
+pub fn fig12(stores: &Stores) -> Output {
     let d = &stores.slideme().store.dataset;
     let bins = price_bins(d, 50);
     let correlations = price_correlations(d, 50);
@@ -99,9 +97,7 @@ pub fn fig12(stores: &Stores) -> ExperimentResult {
         "Pearson price vs downloads: {r_downloads:.3}   price vs app count: {r_apps:.3}"
     ));
     lines.push("paper: -0.229 and -0.240 — expensive apps are fewer and less popular".into());
-    ExperimentResult {
-        id: "fig12",
-        title: "Expensive apps are less popular (SlideMe paid)",
+    Output {
         lines,
         json: json!({
             "r_price_downloads": r_downloads,

@@ -1,6 +1,6 @@
 //! The recommendation experiment (the paper's §7, implemented).
 
-use crate::experiments::ExperimentResult;
+use crate::experiments::Output;
 use crate::stores::Stores;
 use appstore_core::{AppId, Day};
 use appstore_recommend::{evaluate, temporal_split, CategoryRecency, ItemKnn, Popularity};
@@ -10,7 +10,7 @@ use serde_json::json;
 /// history and scores hit-rate@20 / recall@20 on the second half —
 /// quantifying the §7 claim that clustering-aware recommendation beats
 /// the popularity carousel.
-pub fn run(stores: &Stores) -> ExperimentResult {
+pub fn run(stores: &Stores) -> Output {
     let bundle = stores.anzhi();
     let dataset = &bundle.store.dataset;
     let events = &bundle.store.outcome.events;
@@ -60,9 +60,7 @@ pub fn run(stores: &Stores) -> ExperimentResult {
     }
     lines.push("§7: recency-of-interest recommendation exploits the clustering".into());
     lines.push("effect and beats the popularity carousel by a wide margin".into());
-    ExperimentResult {
-        id: "recommend",
-        title: "Clustering-aware recommendation (paper §7, implemented)",
+    Output {
         lines,
         json: json!({
             "k": k,

@@ -11,7 +11,7 @@
 //! are deleted from the recovered dataset and the analysis re-run on
 //! gap-repaired data with coverage annotations.
 
-use crate::experiments::ExperimentResult;
+use crate::experiments::Output;
 use crate::stores::Stores;
 use appstore_core::faults::{
     with_injector, FaultInjector, FaultKind, FaultPlan as InjectedFaultPlan, FaultTrigger,
@@ -71,7 +71,7 @@ fn corrupt_one_byte(journal: &mut [u8]) -> Option<usize> {
 
 /// `crawl-recovery`: kill/corrupt/resume until convergence, then repair
 /// an artificially degraded dataset and re-run the popularity fit.
-pub fn run(stores: &Stores, seed: Seed) -> ExperimentResult {
+pub fn run(stores: &Stores, seed: Seed) -> Output {
     let truth = &stores.anzhi().store.dataset;
     let server = MarketplaceServer::new(
         truth,
@@ -246,9 +246,7 @@ pub fn run(stores: &Stores, seed: Seed) -> ExperimentResult {
         }));
     }
 
-    ExperimentResult {
-        id: "crawl-recovery",
-        title: "Crash/resume fault tolerance and gap repair (paper §2.2)",
+    Output {
         lines,
         json: json!({
             "days": day_count,
@@ -301,7 +299,7 @@ fn journal_lines(journal: &[u8]) -> usize {
 /// completion. A final phase injects a pathological per-candidate
 /// latency and shows the deadline budget downgrading that candidate
 /// instead of stalling the fit.
-pub fn fit_recovery(stores: &Stores, seed: Seed) -> ExperimentResult {
+pub fn fit_recovery(stores: &Stores, seed: Seed) -> Output {
     let bundle = stores.anzhi();
     let observed = bundle.store.dataset.final_downloads_ranked();
     let spec = recovery_fit_spec(crate::experiments::model_fit::feasible_clusters(
@@ -461,9 +459,7 @@ pub fn fit_recovery(stores: &Stores, seed: Seed) -> ExperimentResult {
         })
         .collect();
 
-    ExperimentResult {
-        id: "fit-recovery",
-        title: "Kill/resume convergence of the checkpointed model fit",
+    Output {
         lines,
         json: json!({
             "grid_candidates": grid_len,

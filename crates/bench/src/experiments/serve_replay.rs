@@ -16,7 +16,7 @@
 //! Everything runs on virtual time stamped by the replay client, so the
 //! output is bit-identical across machines, thread counts, and scales.
 
-use crate::experiments::{cache::fig19_params, ExperimentResult};
+use crate::experiments::{cache::fig19_params, Output};
 use appstore_core::faults::{with_injector, FaultInjector, FaultKind, FaultPlan, FaultTrigger};
 use appstore_core::{
     App, AppId, AppObservation, CategoryId, CategorySet, Cents, DailySnapshot, Dataset, Day,
@@ -218,7 +218,7 @@ pub(crate) fn stats_json(stats: &ReplayStats) -> serde_json::Value {
 }
 
 /// `serve-replay`: hit-rate bands over real sockets, then chaos.
-pub fn run(seed: Seed) -> ExperimentResult {
+pub fn run(seed: Seed) -> Output {
     let params = fig19_params();
     let apps = params.population.apps;
     let cache_apps = ((apps as f64 * CACHE_FRACTION).round() as usize).max(1);
@@ -420,9 +420,7 @@ pub fn run(seed: Seed) -> ExperimentResult {
         })
         .collect();
 
-    ExperimentResult {
-        id: "serve-replay",
-        title: "Serving layer under replayed §5 workloads with chaos",
+    Output {
         lines,
         json: json!({
             "apps": apps,

@@ -1,6 +1,6 @@
 //! Table 1 — dataset summary — and the crawl-pipeline report.
 
-use crate::experiments::ExperimentResult;
+use crate::experiments::Output;
 use crate::stores::Stores;
 use appstore_core::Seed;
 use appstore_crawler::{
@@ -10,7 +10,7 @@ use serde_json::json;
 
 /// Table 1: per-store crawling period, app counts, new apps per day,
 /// download totals and daily downloads.
-pub fn run(stores: &Stores) -> ExperimentResult {
+pub fn run(stores: &Stores) -> Output {
     let mut lines = Vec::new();
     let mut rows = Vec::new();
     lines.push(format!(
@@ -76,9 +76,7 @@ pub fn run(stores: &Stores) -> ExperimentResult {
             ));
         }
     }
-    ExperimentResult {
-        id: "table1",
-        title: "Summary of collected data (scaled calibration of Table 1)",
+    Output {
         lines,
         json: json!({ "rows": rows }),
     }
@@ -87,7 +85,7 @@ pub fn run(stores: &Stores) -> ExperimentResult {
 /// The crawl-pipeline experiment: harvest Anzhi through the simulated
 /// proxy/rate-limit/fault stack and verify losslessness — the paper's
 /// §2.2 architecture exercised end to end.
-pub fn crawl(stores: &Stores, seed: Seed) -> ExperimentResult {
+pub fn crawl(stores: &Stores, seed: Seed) -> Output {
     let truth = &stores.anzhi().store.dataset;
     let server = MarketplaceServer::new(
         truth,
@@ -133,9 +131,7 @@ pub fn crawl(stores: &Stores, seed: Seed) -> ExperimentResult {
         ),
         format!("lossless harvest:    {lossless}"),
     ];
-    ExperimentResult {
-        id: "crawl",
-        title: "Data-collection architecture end-to-end (paper §2.2)",
+    Output {
         lines,
         json: json!({
             "days": r.days,

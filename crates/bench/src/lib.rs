@@ -1,10 +1,11 @@
 //! Experiment harness for the planet-apps reproduction.
 //!
 //! Every table and figure in the paper's evaluation maps to one function
-//! in [`experiments`]; the `repro` binary dispatches on experiment id and
-//! prints the regenerated rows/series. The one criterion bench,
-//! `benches/model_fit.rs`, measures the model-fitting kernels behind
-//! Figs. 8–10.
+//! in [`experiments`], registered once in the [`EXPERIMENTS`] table with
+//! its id, title, optional out-of-core fold and required JSON keys. The
+//! `repro` binary looks ids up in that table and prints the regenerated
+//! rows/series. The one criterion bench, `benches/model_fit.rs`,
+//! measures the model-fitting kernels behind Figs. 8–10.
 //!
 //! The harness works on the four calibrated synthetic stores from
 //! `appstore-synth` (optionally scaled down with `--scale` for quick
@@ -20,11 +21,8 @@ pub mod stores;
 pub mod streaming;
 
 pub use experiments::{
-    run_experiment, run_experiments, run_experiments_observed, run_experiments_observed_with,
-    ExperimentResult, EXPERIMENT_IDS,
+    run_experiment, run_experiments_observed, run_experiments_observed_with, Experiment,
+    ExperimentResult, EXPERIMENTS, EXPERIMENT_IDS,
 };
 pub use stores::{StoreBundle, Stores};
-pub use streaming::{
-    fold_comments, fold_downloads, is_streaming_id, run_streaming_experiment, set_progress,
-    StreamingStores, STREAMING_IDS,
-};
+pub use streaming::{fold_comments, fold_downloads, set_progress, StreamingStores};

@@ -1,7 +1,7 @@
 //! The paper-fidelity report: `results/*.json` joined against a
 //! checked-in table of figure-level targets from the paper.
 //!
-//! Each [`TargetSpec`] row names one published number (a Pareto share, a
+//! Each target row names one published number (a Pareto share, a
 //! Zipf exponent, a hit-rate band, …), extracts the reproduced value
 //! from the experiment JSON, and grades the relative error as
 //! PASS/WARN/FAIL. A handful of rows are *invariants* — ordering claims
@@ -920,6 +920,19 @@ mod tests {
             assert!(md.contains(row.metric), "md missing {}", row.metric);
         }
         assert!(md.contains("| MISSING |"));
+    }
+
+    #[test]
+    fn every_target_names_a_registered_experiment() {
+        // A mistyped figure id would grade MISSING on every run.
+        for spec in targets() {
+            assert!(
+                crate::experiments::find(spec.figure).is_some(),
+                "target {:?} names unregistered experiment {}",
+                spec.metric,
+                spec.figure
+            );
+        }
     }
 
     #[test]

@@ -12,132 +12,19 @@
 //! schema's job is to catch wholesale damage: wrong file, wrong era,
 //! truncation, corruption.
 
+use crate::experiments::find;
 use serde_json::Value;
 
 /// Version of the results-file shape this build writes and expects.
 /// Bump when an experiment's top-level JSON layout changes.
 pub const RESULTS_SCHEMA_VERSION: u32 = 1;
 
-/// The top-level keys each experiment's JSON must carry.
-/// Ids absent from this table (e.g. from a newer build) are only
-/// required to be JSON objects.
-fn required_keys(id: &str) -> &'static [&'static str] {
-    match id {
-        "table1" => &["rows"],
-        "fig2" | "fig3" | "fig4" | "fig8" | "fig10" | "ablate-cutoff" => &["stores"],
-        "fig5" => &[
-            "categories_below_4pct",
-            "comments_cdf_le10",
-            "coverage",
-            "single_category",
-            "top_category_share",
-            "top_k_share",
-            "users",
-            "within_five",
-        ],
-        "fig6" | "fig7" | "ablate-depth" => &["depths"],
-        "fig9" | "prefetch" | "ablate-p" => &["points"],
-        "fig11" => &["free", "paid"],
-        "fig12" => &["bins", "r_price_apps", "r_price_downloads"],
-        "fig13" => &[
-            "developers",
-            "gini",
-            "max_income",
-            "p_lt_10",
-            "p_lt_100",
-            "p_lt_1500",
-            "p_zero",
-        ],
-        "fig14" => &["avg_income_many", "avg_income_single", "pearson"],
-        "fig15" => &["shares", "top4_revenue"],
-        "fig16" => &[
-            "apps_per_developer",
-            "both",
-            "free_only",
-            "p_single_app_free",
-            "p_single_app_paid",
-            "p_single_cat_free",
-            "p_single_cat_paid",
-            "paid_only",
-        ],
-        "fig17" => &["ad_fraction", "over_time", "overall", "tiers"],
-        "fig18" => &["categories"],
-        "fig19" => &["fractions", "models"],
-        "crawl" => &[
-            "app_pages",
-            "comment_pages",
-            "corrupted",
-            "days",
-            "dropped",
-            "lossless",
-            "proxies_banned",
-            "rate_limited",
-            "requests",
-            "retries",
-            "virtual_ms",
-        ],
-        "crawl-recovery" => &[
-            "breaker_trips",
-            "converged",
-            "coverage",
-            "days",
-            "lossless",
-            "proxies_banned",
-            "reference_requests",
-            "repairs",
-            "runs",
-            "worst_proxy_score",
-        ],
-        "fit-recovery" => &[
-            "converged",
-            "deadline_downgrades",
-            "degraded_distance",
-            "fault_log",
-            "grid_candidates",
-            "runs",
-            "winner_distance",
-        ],
-        "recommend" => &["k", "reports"],
-        "ablate-drift" => &["retention", "windows"],
-        "ablate-policies" => &["fractions", "policies"],
-        "ablate-cluster-size" => &["blocked_head", "divergence", "interleaved_head"],
-        "serve-replay" => &[
-            "chaos",
-            "clustering_hit_rate",
-            "fault_log",
-            "healthy",
-            "p99_virtual_ms",
-            "panics_caught",
-            "panics_escaped",
-            "probe",
-            "recovered",
-            "sheds",
-            "slo",
-            "stale_served",
-            "telemetry",
-            "zipf_hit_rate",
-        ],
-        "serve-failover" => &[
-            "availability_ppm",
-            "chaos",
-            "fault_log",
-            "fingerprint_match",
-            "hedge_rate",
-            "hedges",
-            "panics_caught",
-            "panics_escaped",
-            "probe",
-            "reconcile",
-            "reference",
-            "replicas",
-            "slo",
-        ],
-        _ => &[],
-    }
-}
-
-/// Validates one experiment's JSON against the expected top-level shape.
-/// `Err` carries a human-readable reason suitable for a WARN line.
+/// Validates one experiment's JSON against the expected top-level shape:
+/// an object carrying the `required_keys` of the experiment's
+/// [`EXPERIMENTS`](crate::experiments::EXPERIMENTS) entry. Ids absent from
+/// the table (e.g. from a newer build) are only required to be JSON
+/// objects. `Err` carries a human-readable reason suitable for a WARN
+/// line.
 pub fn validate(id: &str, value: &Value) -> Result<(), String> {
     let Some(object) = value.as_object() else {
         return Err(format!(
@@ -145,7 +32,8 @@ pub fn validate(id: &str, value: &Value) -> Result<(), String> {
             json_kind(value)
         ));
     };
-    let missing: Vec<&str> = required_keys(id)
+    let required = find(id).map_or(&[][..], |experiment| experiment.required_keys);
+    let missing: Vec<&str> = required
         .iter()
         .copied()
         .filter(|k| !object.iter().any(|(key, _)| key == k))
@@ -204,20 +92,7 @@ fn json_kind(value: &Value) -> &'static str {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::experiments::EXPERIMENT_IDS;
     use serde_json::json;
-
-    #[test]
-    fn every_experiment_id_has_schema_coverage() {
-        // Every registered experiment must be in the key table — a new
-        // experiment landing without schema coverage is a silent hole.
-        for id in EXPERIMENT_IDS {
-            assert!(
-                !required_keys(id).is_empty(),
-                "experiment {id} has no required keys registered"
-            );
-        }
-    }
 
     #[test]
     fn valid_object_passes() {

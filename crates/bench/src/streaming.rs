@@ -13,11 +13,12 @@
 //!   shard into the exact aggregates the fig3/fig5/fig8 kernels consume
 //!   (per-app counters, per-user comment profiles), plus mergeable
 //!   sketches ([`appstore_stats::sketch`]) for the approximate extras;
-//! * [`run_streaming_experiment`] dispatches the [`STREAMING_IDS`]
-//!   through the shared kernels, so the printed tables are
-//!   **bit-identical** to the in-memory path — the shards partition the
-//!   user-id space into ascending ranges, so folding them in order
-//!   replays users in exactly the order `build_user_streams` yields.
+//! * `fig3`, `fig5` and `fig8` here are the `fold`s of the matching
+//!   [`EXPERIMENTS`](crate::experiments::EXPERIMENTS) entries: they run
+//!   the shared kernels, so the printed tables are **bit-identical** to
+//!   the in-memory path — the shards partition the user-id space into
+//!   ascending ranges, so folding them in order replays users in exactly
+//!   the order `build_user_streams` yields.
 //!
 //! The download fold can checkpoint its state into a sealed merge log
 //! after every shard; a fold killed mid-merge resumes from the last
@@ -28,7 +29,7 @@
 use crate::experiments::behavior::fig5_from_profiles;
 use crate::experiments::model_fit::{fig8_from_inputs, FitInput, FIT_STORES};
 use crate::experiments::popularity::{fig3_from_inputs, PopularityInput};
-use crate::experiments::ExperimentResult;
+use crate::experiments::Output;
 use crate::stores::Stores;
 use appstore_affinity::{build_user_streams, UserCommentProfile};
 use appstore_core::spill::{fold_spill_file, SpillWriter};
@@ -81,9 +82,6 @@ fn file_bytes(path: &Path) -> u64 {
     std::fs::metadata(path).map_or(0, |m| m.len())
 }
 
-/// Experiment ids with a fold-based streaming implementation.
-pub const STREAMING_IDS: [&str; 3] = ["fig3", "fig5", "fig8"];
-
 /// Chunk kind tag for download-fold checkpoints in a merge log.
 pub const KIND_FOLD: &str = "fold";
 
@@ -92,11 +90,6 @@ const HEAVY_CAPACITY: usize = 64;
 
 /// Capacity parameter of the per-user comment-count quantile sketch.
 const QUANTILE_K: usize = 256;
-
-/// True when `id` can run through the out-of-core path.
-pub fn is_streaming_id(id: &str) -> bool {
-    STREAMING_IDS.contains(&id)
-}
 
 /// The four calibrated stores, generated out-of-core: per-store spill
 /// files on disk plus O(apps) metadata in memory.
@@ -465,7 +458,7 @@ struct StreamingMeta {
     extra: Vec<(&'static str, serde_json::Value)>,
 }
 
-fn attach_streaming(result: &mut ExperimentResult, meta: StreamingMeta) {
+fn attach_streaming(output: &mut Output, meta: StreamingMeta) {
     let mut streaming = json!({
         "shards": meta.shards,
         "spill_bytes": meta.spill_bytes,
@@ -475,27 +468,11 @@ fn attach_streaming(result: &mut ExperimentResult, meta: StreamingMeta) {
     for (key, value) in meta.extra {
         streaming.set(key, value);
     }
-    result.json.set("streaming", streaming);
+    output.json.set("streaming", streaming);
 }
 
-/// Runs one experiment through the out-of-core path. `None` for ids
-/// without a streaming implementation (see [`STREAMING_IDS`]); `seed`
-/// is the same per-batch seed [`run_experiment`](crate::run_experiment)
-/// passes, so fig8's fit chain matches the in-memory path exactly.
-pub fn run_streaming_experiment(
-    id: &str,
-    stores: &StreamingStores,
-    seed: Seed,
-) -> Option<io::Result<ExperimentResult>> {
-    match id {
-        "fig3" => Some(fig3_streaming(stores)),
-        "fig5" => Some(fig5_streaming(stores)),
-        "fig8" => Some(fig8_streaming(stores, seed)),
-        _ => None,
-    }
-}
-
-fn fig3_streaming(stores: &StreamingStores) -> io::Result<ExperimentResult> {
+/// Fig. 3 over the spilled download shards.
+pub(crate) fn fig3(stores: &StreamingStores) -> io::Result<Output> {
     let mut inputs = Vec::new();
     let mut quarantined = 0u64;
     let mut top_apps = serde_json::Value::Object(Vec::new());
@@ -517,9 +494,9 @@ fn fig3_streaming(stores: &StreamingStores) -> io::Result<ExperimentResult> {
             note: coverage_note(spill),
         });
     }
-    let mut result = fig3_from_inputs(&inputs);
+    let mut output = fig3_from_inputs(&inputs);
     attach_streaming(
-        &mut result,
+        &mut output,
         StreamingMeta {
             shards: stores.shards(),
             spill_bytes: stores.bytes_spilled(),
@@ -528,10 +505,11 @@ fn fig3_streaming(stores: &StreamingStores) -> io::Result<ExperimentResult> {
             extra: vec![("top_apps", top_apps)],
         },
     );
-    Ok(result)
+    Ok(output)
 }
 
-fn fig5_streaming(stores: &StreamingStores) -> io::Result<ExperimentResult> {
+/// Fig. 5 over the spilled Anzhi download and comment shards.
+pub(crate) fn fig5(stores: &StreamingStores) -> io::Result<Output> {
     let (_, spill) = stores.by_name("anzhi").expect("anzhi store present");
     let downloads = fold_downloads(spill, None)?;
     let comments = fold_comments(spill)?;
@@ -542,10 +520,10 @@ fn fig5_streaming(stores: &StreamingStores) -> io::Result<ExperimentResult> {
         }
     }
     let note = coverage_note(spill);
-    let mut result = fig5_from_profiles(&comments.profiles, &per_category, &note);
+    let mut output = fig5_from_profiles(&comments.profiles, &per_category, &note);
     let sketch = &comments.comment_quantiles;
     attach_streaming(
-        &mut result,
+        &mut output,
         StreamingMeta {
             shards: stores.shards(),
             spill_bytes: stores.bytes_spilled(),
@@ -557,10 +535,13 @@ fn fig5_streaming(stores: &StreamingStores) -> io::Result<ExperimentResult> {
             )],
         },
     );
-    Ok(result)
+    Ok(output)
 }
 
-fn fig8_streaming(stores: &StreamingStores, seed: Seed) -> io::Result<ExperimentResult> {
+/// Fig. 8 over the spilled download shards of the fit stores. `seed` is
+/// the batch seed the in-memory `fig8` receives, so the fit chain
+/// matches it exactly.
+pub(crate) fn fig8(stores: &StreamingStores, seed: Seed) -> io::Result<Output> {
     let mut inputs = Vec::new();
     let mut quarantined = 0u64;
     for name in FIT_STORES {
@@ -581,9 +562,9 @@ fn fig8_streaming(stores: &StreamingStores, seed: Seed) -> io::Result<Experiment
             note: coverage_note(spill),
         });
     }
-    let mut result = fig8_from_inputs(&inputs, seed);
+    let mut output = fig8_from_inputs(&inputs, seed);
     attach_streaming(
-        &mut result,
+        &mut output,
         StreamingMeta {
             shards: stores.shards(),
             spill_bytes: stores.bytes_spilled(),
@@ -592,5 +573,5 @@ fn fig8_streaming(stores: &StreamingStores, seed: Seed) -> io::Result<Experiment
             extra: Vec::new(),
         },
     );
-    Ok(result)
+    Ok(output)
 }

@@ -14,7 +14,8 @@
 //! promises. Regenerate the goldens with `scripts/bless.sh` (which sets
 //! `GOLDEN_BLESS=1`) after an intentional output change.
 
-use bench::{EXPERIMENT_IDS, STREAMING_IDS};
+use bench::experiments::streaming_experiments;
+use bench::EXPERIMENT_IDS;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -200,7 +201,7 @@ fn streaming_stdout_matches_the_inmemory_goldens() {
     );
     let stdout = String::from_utf8(output.stdout).expect("repro stdout is UTF-8");
     let sections = split_sections(&stdout);
-    for id in STREAMING_IDS {
+    for id in streaming_experiments().map(|e| e.id) {
         let section = sections
             .get(id)
             .unwrap_or_else(|| panic!("experiment {id} missing from streaming stdout"));

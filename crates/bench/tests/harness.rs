@@ -1,9 +1,43 @@
-//! Harness regression tests: every registered experiment must run to
-//! completion on a tiny store and produce printable lines plus a JSON
-//! payload.
+//! Harness regression tests: the experiment table is well formed, and
+//! every registered experiment must run to completion on a tiny store
+//! and produce printable lines plus a JSON payload.
 
 use appstore_core::Seed;
-use bench::{run_experiment, run_experiments, Stores, EXPERIMENT_IDS};
+use bench::experiments::{find, select, streaming_experiments};
+use bench::{
+    run_experiment, run_experiments_observed, Experiment, Stores, EXPERIMENTS, EXPERIMENT_IDS,
+};
+use std::process::Command;
+
+#[test]
+fn experiment_ids_are_unique() {
+    for (i, experiment) in EXPERIMENTS.iter().enumerate() {
+        assert!(
+            EXPERIMENTS[..i].iter().all(|e| e.id != experiment.id),
+            "experiment {} registered twice",
+            experiment.id
+        );
+    }
+}
+
+/// An experiment without schema coverage would pass any damaged results
+/// file on load.
+#[test]
+fn every_experiment_has_required_keys() {
+    for experiment in EXPERIMENTS {
+        assert!(
+            !experiment.required_keys.is_empty(),
+            "experiment {} has no required keys registered",
+            experiment.id
+        );
+    }
+}
+
+#[test]
+fn the_experiments_with_a_fold_are_fig3_fig5_and_fig8() {
+    let ids: Vec<&str> = streaming_experiments().map(|e| e.id).collect();
+    assert_eq!(ids, ["fig3", "fig5", "fig8"]);
+}
 
 #[test]
 fn every_experiment_runs_at_tiny_scale() {
@@ -24,9 +58,57 @@ fn every_experiment_runs_at_tiny_scale() {
 
 #[test]
 fn unknown_experiment_is_rejected() {
-    let seed = Seed::new(1);
-    let stores = Stores::generate_all(256, seed);
-    assert!(run_experiment("fig99", &stores, seed).is_none());
+    assert!(find("fig99").is_none());
+    let err = select(&["fig2", "fig99"], false).unwrap_err();
+    assert!(err.contains("fig99"), "{err}");
+}
+
+#[test]
+fn selection_keeps_order_and_rejects_repeated_and_foldless_ids() {
+    let ids = |selected: Vec<&Experiment>| -> Vec<&str> { selected.iter().map(|e| e.id).collect() };
+    assert_eq!(
+        ids(select(&["fig8", "fig2"], false).unwrap()),
+        ["fig8", "fig2"]
+    );
+    assert_eq!(
+        ids(select(&["fig5", "fig3"], true).unwrap()),
+        ["fig5", "fig3"]
+    );
+    let err = select(&["fig2", "fig4", "fig2"], false).unwrap_err();
+    assert!(
+        err.contains("fig2") && err.contains("more than once"),
+        "{err}"
+    );
+    let err = select(&["fig3", "table1"], true).unwrap_err();
+    assert!(
+        err.contains("table1") && err.contains("fig3, fig5, fig8"),
+        "{err}"
+    );
+}
+
+/// An id given twice is a usage error, caught before any store is
+/// generated, like an unknown id.
+#[test]
+fn repeated_experiment_id_is_rejected() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "256", "fig2", "fig2"])
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "expected usage-error exit:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("fig2"),
+        "the repeated id is not named:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("generating"),
+        "stores were generated:\n{stderr}"
+    );
+    assert!(output.stdout.is_empty(), "an experiment ran");
 }
 
 #[test]
@@ -50,11 +132,11 @@ fn experiment_batches_are_thread_count_invariant() {
     let stores = Stores::generate_all(64, seed.child("stores"));
     let ids = ["table1", "fig8", "fig19", "ablate-p", "crawl-recovery"];
     let render_all = |threads: usize| -> (String, Vec<String>) {
-        let results = run_experiments(&ids, &stores, seed, threads, |_, _| {});
-        let text: String = results.iter().map(|(r, _)| r.render()).collect();
+        let results = run_experiments_observed(&ids, &stores, seed, threads, |_, _| {});
+        let text: String = results.iter().map(|(r, _, _)| r.render()).collect();
         let json: Vec<String> = results
             .iter()
-            .map(|(r, _)| serde_json::to_string_pretty(&r.json).expect("serialize"))
+            .map(|(r, _, _)| serde_json::to_string_pretty(&r.json).expect("serialize"))
             .collect();
         (text, json)
     };

@@ -1,7 +1,7 @@
 //! Differential suite: streaming vs in-memory analysis paths.
 //!
 //! The out-of-core pipeline promises bit-identical rendered output to
-//! the in-memory path for every experiment in `STREAMING_IDS`, for any
+//! the in-memory path for every experiment with a fold, for any
 //! shard layout and thread count. These tests prove it two ways:
 //!
 //! * library level — fold-based results rendered against
@@ -14,12 +14,18 @@
 //!   store metrics legitimately differ from the batch path).
 
 use appstore_core::Seed;
-use bench::{run_experiment, run_streaming_experiment, Stores, StreamingStores, STREAMING_IDS};
+use bench::experiments::streaming_experiments;
+use bench::{Stores, StreamingStores};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
 
 const SEED: u64 = 2013;
+
+/// The ids of the experiments with an out-of-core fold, in table order.
+fn streaming_ids() -> Vec<&'static str> {
+    streaming_experiments().map(|e| e.id).collect()
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("streaming-equiv-{tag}-{}", std::process::id()));
@@ -36,11 +42,13 @@ fn assert_library_equivalence(scale: u32, shards: usize) {
     let dir = temp_dir(&format!("lib-s{scale}-sh{shards}"));
     let streaming = StreamingStores::generate_pure(scale, seed.child("stores"), 1, &dir, shards)
         .expect("spill generation");
-    for id in STREAMING_IDS {
-        let batch = run_experiment(id, &stores, seed.child("experiments"))
-            .expect("known id")
+    for experiment in streaming_experiments() {
+        let id = experiment.id;
+        let batch = experiment
+            .run_in_memory(&stores, seed.child("experiments"))
             .render();
-        let folded = run_streaming_experiment(id, &streaming, seed.child("experiments"))
+        let folded = experiment
+            .run_streaming(&streaming, seed.child("experiments"))
             .expect("streaming id")
             .expect("fold io")
             .render();
@@ -91,7 +99,7 @@ fn run_repro(scale: u32, threads: u32, streaming: Option<usize>, tag: &str) -> (
     if let Some(shards) = streaming {
         cmd.args(["--streaming", "--shards", &shards.to_string()]);
     }
-    cmd.args(STREAMING_IDS);
+    cmd.args(streaming_ids());
     let output = cmd.output().expect("spawn repro");
     assert!(
         output.status.success(),
@@ -143,7 +151,7 @@ fn repro_streaming_stdout_matches_plain_across_threads_and_shards() {
             let tag = format!("t{threads}-sh{shards}");
             let (stdout, metrics) = run_repro(scale, threads, Some(shards), &tag);
             let sections = split_sections(&stdout);
-            for id in STREAMING_IDS {
+            for id in streaming_ids() {
                 assert_eq!(
                     plain_sections.get(id),
                     sections.get(id),
@@ -170,7 +178,7 @@ fn repro_streaming_stdout_matches_plain_small_scales() {
         let (stream_stdout, _) = run_repro(scale, threads, Some(shards), &tag);
         let plain = split_sections(&plain_stdout);
         let streamed = split_sections(&stream_stdout);
-        for id in STREAMING_IDS {
+        for id in streaming_ids() {
             assert_eq!(
                 plain.get(id),
                 streamed.get(id),
@@ -214,7 +222,7 @@ fn repro_all_streaming_runs_streaming_ids_only() {
     let all_sections = split_sections(&all_stdout);
     assert_eq!(
         all_sections.keys().cloned().collect::<Vec<_>>(),
-        STREAMING_IDS
+        streaming_ids()
             .iter()
             .map(|id| id.to_string())
             .collect::<Vec<_>>(),

@@ -205,7 +205,7 @@ impl ProxyPool {
 
     /// Records a transport failure (dropped or corrupted response)
     /// through `proxy` at virtual time `now_ms`. After
-    /// [`BREAKER_STREAK`] consecutive failures the breaker trips: the
+    /// `BREAKER_STREAK` consecutive failures the breaker trips: the
     /// proxy is quarantined until `now_ms + probation`, and the next
     /// probation window doubles (capped), so a persistently sick node
     /// backs off exponentially while still being probed.

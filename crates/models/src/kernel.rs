@@ -9,7 +9,7 @@
 //!   re-running the `O(n)` `powf` sweep. A 15-exponent axis costs two
 //!   `powf` sweeps (the first row and the factor vector) plus pure
 //!   multiplies.
-//! * [`CoarseScreener`] / [`coarse_select`] — the subsample screening
+//! * `CoarseScreener` / `coarse_select` — the subsample screening
 //!   pass of the coarse-to-fine grid search. Every feasible candidate is
 //!   scored on a deterministic decimation of the rank axis using
 //!   memoized per-sample miss tables; the best `keep_global` candidates

@@ -28,7 +28,7 @@
 //!   edge with stale-while-revalidate: while the breaker is open the
 //!   server serves the stale copy (marked `X-Degraded: stale`) instead
 //!   of erroring, and only sheds when it has nothing at all;
-//! * **a deterministic load generator** ([`replay`]) — replays
+//! * **a deterministic load generator** ([`replay`](mod@replay)) — replays
 //!   APP-CLUSTERING / ZIPF download traces at a configurable QPS over a
 //!   real socket, with jittered-backoff retries governed by an
 //!   [`appstore_core::backoff::RetryBudget`] so retries cannot amplify

@@ -109,8 +109,8 @@ impl Histogram {
         Some((raw.floor() as usize).min(n - 1))
     }
 
-    /// Adds a sample with an attached value. Out-of-range samples are
-    /// counted separately and retrievable via [`Histogram::dropped`].
+    /// Adds a sample with an attached value. An out-of-range or NaN
+    /// sample is not recorded, and `add` returns `false`.
     pub fn add(&mut self, x: f64, value: f64) -> bool {
         match self.bin_index(x) {
             Some(i) => {

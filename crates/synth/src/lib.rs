@@ -24,7 +24,7 @@
 //!   behaviour for free apps, selective pure-Zipf for paid apps);
 //! * [`events`] — comment emission (including spam accounts) and app
 //!   updates;
-//! * [`generate`] — orchestration into a validated `Dataset`.
+//! * [`generate`](mod@generate) — orchestration into a validated `Dataset`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
