@@ -20,34 +20,13 @@ pub struct GroupAffinity {
     pub ci95_half: f64,
 }
 
-/// Raw comments per user (Fig. 5a input).
-pub fn comments_per_user(streams: &[UserStream]) -> Vec<u64> {
-    streams.iter().map(|s| s.raw_comments as u64).collect()
-}
-
-/// Unique categories per user, for users with at least one comment
-/// (Fig. 5b input).
-pub fn unique_categories_per_user(streams: &[UserStream]) -> Vec<u64> {
-    streams
-        .iter()
-        .map(|s| s.unique_categories() as u64)
-        .collect()
-}
-
 /// Average share of a user's comments that fall in their own top-`k`
 /// categories (Fig. 5c), over users that commented on more than one app
 /// (the paper excludes single-app users from this figure).
 ///
-/// Returns `None` if no user qualifies or `k == 0`.
-pub fn top_k_comment_share(streams: &[UserStream], k: usize) -> Option<f64> {
-    let profiles: Vec<UserCommentProfile> = streams.iter().map(UserStream::profile).collect();
-    top_k_share_from_profiles(&profiles, k)
-}
-
-/// [`top_k_comment_share`] on pre-collapsed profiles — the fold form
-/// the out-of-core path uses. Profiles must be in the same (ascending
-/// user) order `build_user_streams` produces, so the two paths sum
-/// shares in the same order and agree bit-for-bit.
+/// Returns `None` if no user qualifies or `k == 0`. Shares are summed in
+/// profile order, so the in-memory and out-of-core paths, which both pass
+/// profiles in ascending user order, agree bit-for-bit.
 pub fn top_k_share_from_profiles(profiles: &[UserCommentProfile], k: usize) -> Option<f64> {
     if k == 0 {
         return None;
@@ -139,23 +118,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn comment_and_category_counts() {
-        let streams = vec![stream(0, 5, &[1, 1, 2]), stream(1, 1, &[3])];
-        assert_eq!(comments_per_user(&streams), vec![5, 1]);
-        assert_eq!(unique_categories_per_user(&streams), vec![2, 1]);
+    fn profiles_of(streams: &[UserStream]) -> Vec<UserCommentProfile> {
+        streams.iter().map(UserStream::profile).collect()
     }
 
     #[test]
     fn top_k_share_example() {
         // User with categories [1,1,2]: top-1 share 2/3; user [3] excluded.
-        let streams = vec![stream(0, 3, &[1, 1, 2]), stream(1, 1, &[3])];
-        let share = top_k_comment_share(&streams, 1).unwrap();
+        let profiles = profiles_of(&[stream(0, 3, &[1, 1, 2]), stream(1, 1, &[3])]);
+        let share = top_k_share_from_profiles(&profiles, 1).unwrap();
         assert!((share - 2.0 / 3.0).abs() < 1e-12);
         // top-2 covers everything.
-        assert_eq!(top_k_comment_share(&streams, 2), Some(1.0));
-        assert_eq!(top_k_comment_share(&streams, 0), None);
-        assert_eq!(top_k_comment_share(&[stream(0, 1, &[1])], 1), None);
+        assert_eq!(top_k_share_from_profiles(&profiles, 2), Some(1.0));
+        assert_eq!(top_k_share_from_profiles(&profiles, 0), None);
+        let single = profiles_of(&[stream(0, 1, &[1])]);
+        assert_eq!(top_k_share_from_profiles(&single, 1), None);
     }
 
     #[test]

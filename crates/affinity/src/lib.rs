@@ -10,10 +10,9 @@
 //! * [`metric`] — the affinity metric at depth `d` (Eqs. 1 and 3);
 //! * [`baseline`] — the exact random-walk affinity probability a user
 //!   wandering without category preference would score (Eqs. 2 and 4);
-//! * [`analysis`] — the per-user aggregations behind Figs. 5–7: comments
-//!   per user, unique categories per user, top-`k` category shares,
-//!   affinity grouped by comment count with confidence intervals, and
-//!   affinity CDFs.
+//! * [`analysis`] — the per-user aggregations behind Figs. 5–7: top-`k`
+//!   category shares, per-category download shares, and affinity
+//!   samples, also grouped by comment count with confidence intervals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,8 +26,8 @@ pub mod strings;
 pub use drift::{affinity_over_windows, interest_retention, WindowAffinity};
 
 pub use analysis::{
-    affinity_by_group, affinity_samples, comments_per_user, downloads_share_by_category,
-    top_k_comment_share, top_k_share_from_profiles, unique_categories_per_user, GroupAffinity,
+    affinity_by_group, affinity_samples, downloads_share_by_category, top_k_share_from_profiles,
+    GroupAffinity,
 };
 pub use baseline::random_walk_affinity;
 pub use metric::affinity;

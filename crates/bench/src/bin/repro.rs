@@ -96,6 +96,9 @@ fn parse_args() -> Result<Args, String> {
             "--scale" => {
                 let v = iter.next().ok_or("--scale needs a value")?;
                 args.scale = v.parse().map_err(|_| format!("bad scale: {v}"))?;
+                if args.scale == 0 {
+                    return Err("--scale must be at least 1".into());
+                }
             }
             "--seed" => {
                 let v = iter.next().ok_or("--seed needs a value")?;
@@ -164,6 +167,15 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.experiments.is_empty() {
         return Err("no experiment given; try `repro list` or `repro all`".into());
+    }
+    if args.experiments.len() > 1 {
+        if let Some(word) = args
+            .experiments
+            .iter()
+            .find(|e| *e == "all" || *e == "list")
+        {
+            return Err(format!("`{word}` must be the only experiment argument"));
+        }
     }
     Ok(args)
 }
@@ -315,14 +327,14 @@ fn main() {
     // Heartbeat lines go to stderr only; stdout stays byte-identical.
     bench::set_progress(args.progress);
 
-    if args.experiments.iter().any(|e| e == "list") {
+    if args.experiments == ["list"] {
         for id in EXPERIMENT_IDS {
             println!("{id}");
         }
         return;
     }
 
-    let experiments: Vec<&'static Experiment> = if args.experiments.iter().any(|e| e == "all") {
+    let experiments: Vec<&'static Experiment> = if args.experiments == ["all"] {
         if args.streaming {
             // The out-of-core path implements the fold-based analyses;
             // `all` means "everything this mode can run".

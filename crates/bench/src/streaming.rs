@@ -6,7 +6,7 @@
 //! scale, impossible at `--scale 4096`-style big-campaign reproductions
 //! on a bounded box. This module is the other half of the PR-8 pipeline:
 //!
-//! * [`StreamingStores`] generates (or replays) the calibrated stores
+//! * [`StreamingStores`] generates the calibrated stores
 //!   straight into per-shard columnar spill files
 //!   ([`appstore_synth::stream`]), never holding an event vector;
 //! * [`fold_downloads`] / [`fold_comments`] reduce those files shard by
@@ -30,7 +30,6 @@ use crate::experiments::behavior::fig5_from_profiles;
 use crate::experiments::model_fit::{fig8_from_inputs, FitInput, FIT_STORES};
 use crate::experiments::popularity::{fig3_from_inputs, PopularityInput};
 use crate::experiments::Output;
-use crate::stores::Stores;
 use appstore_affinity::{build_user_streams, UserCommentProfile};
 use appstore_core::spill::{fold_spill_file, SpillWriter};
 use appstore_core::{
@@ -38,7 +37,7 @@ use appstore_core::{
 };
 use appstore_stats::{QuantileSketch, SpaceSaving};
 use appstore_synth::stream::{KIND_COMMENT, KIND_DOWNLOAD};
-use appstore_synth::{spill_from_store, spill_generate, StoreProfile, StoreSpill};
+use appstore_synth::{spill_generate, StoreProfile, StoreSpill};
 use serde_json::json;
 use std::io;
 use std::path::Path;
@@ -101,9 +100,10 @@ pub struct StreamingStores {
 impl StreamingStores {
     /// Generates the four stores straight into spill files under `dir`,
     /// never materializing an event vector — the streaming analogue of
-    /// [`Stores::generate_all_threaded`]. Takes the same `stores`-child
-    /// seed and derives the same per-store name children, so the events
-    /// on disk are exactly the events the in-memory path would hold.
+    /// [`crate::Stores::generate_all_threaded`]. Takes the same
+    /// `stores`-child seed and derives the same per-store name children,
+    /// so the events on disk are exactly the events the in-memory path
+    /// would hold.
     pub fn generate_pure(
         scale: u32,
         seed: Seed,
@@ -130,18 +130,6 @@ impl StreamingStores {
         let mut out = Vec::with_capacity(profiles.len());
         for (profile, spill) in profiles.into_iter().zip(spills) {
             out.push((profile, spill?));
-        }
-        Ok(StreamingStores { spills: out })
-    }
-
-    /// Replays already-generated stores into spill files — byte-identical
-    /// to [`StreamingStores::generate_pure`] for the same seed and shard
-    /// count; the differential tests lean on this bridge.
-    pub fn from_stores(stores: &Stores, dir: &Path, shards: usize) -> io::Result<StreamingStores> {
-        let mut out = Vec::with_capacity(stores.bundles.len());
-        for bundle in &stores.bundles {
-            let spill = spill_from_store(&bundle.profile, &bundle.store, dir, shards)?;
-            out.push((bundle.profile.clone(), spill));
         }
         Ok(StreamingStores { spills: out })
     }

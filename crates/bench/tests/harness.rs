@@ -86,29 +86,60 @@ fn selection_keeps_order_and_rejects_repeated_and_foldless_ids() {
     );
 }
 
+/// Runs `repro` with `args`, asserts it exits 2 as a usage error before
+/// any store is generated or experiment runs, and returns its stderr.
+fn usage_error(args: &[&str]) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "expected usage-error exit for {args:?}:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("generating"),
+        "stores were generated for {args:?}:\n{stderr}"
+    );
+    assert!(output.stdout.is_empty(), "{args:?} printed to stdout");
+    stderr
+}
+
 /// An id given twice is a usage error, caught before any store is
 /// generated, like an unknown id.
 #[test]
 fn repeated_experiment_id_is_rejected() {
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--scale", "256", "fig2", "fig2"])
-        .output()
-        .expect("spawn repro");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(
-        output.status.code(),
-        Some(2),
-        "expected usage-error exit:\n{stderr}"
-    );
+    let stderr = usage_error(&["--scale", "256", "fig2", "fig2"]);
     assert!(
         stderr.contains("fig2"),
         "the repeated id is not named:\n{stderr}"
     );
-    assert!(
-        !stderr.contains("generating"),
-        "stores were generated:\n{stderr}"
-    );
-    assert!(output.stdout.is_empty(), "an experiment ran");
+}
+
+/// `all` and `list` stand alone: any other argument beside them would
+/// otherwise be ignored unchecked.
+#[test]
+fn all_and_list_must_be_the_only_experiment_argument() {
+    for args in [
+        &["--scale", "256", "all", "fig99"][..],
+        &["--scale", "256", "fig2", "all"],
+        &["list", "fig99"],
+    ] {
+        let stderr = usage_error(args);
+        assert!(
+            stderr.contains("only experiment argument"),
+            "{args:?}:\n{stderr}"
+        );
+    }
+}
+
+/// Scale 0 would generate full-size stores while recording scale 0.
+#[test]
+fn zero_scale_is_rejected() {
+    let stderr = usage_error(&["--scale", "0", "list"]);
+    assert!(stderr.contains("--scale"), "{stderr}");
 }
 
 #[test]

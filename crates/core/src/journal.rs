@@ -11,9 +11,11 @@
 //! (seal-shaped but the checksum disagrees — bit rot or a torn write) or
 //! [`Unsealed::Bare`] (not seal-shaped at all; legacy journals stored
 //! bare JSON and callers may still accept it). Payload semantics — what
-//! the sealed string *means* — stay with the caller.
+//! the sealed string *means* — stay with the caller. [`SealedWriter`]
+//! writes sealed lines; [`LossyLines`] reads them back without trusting
+//! the stream to be UTF-8, so one damaged byte costs one line.
 
-use std::io::Write;
+use std::io::{BufRead, Write};
 
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -79,6 +81,45 @@ pub fn unseal(line: &str) -> Unsealed<'_> {
         }
     } else {
         Unsealed::Bare(line)
+    }
+}
+
+/// Splits a byte stream into journal lines the way [`BufRead::lines`]
+/// does (on `\n`, dropping a `\r` before it), but never fails on a
+/// line's content: each line is decoded lossily, so a non-UTF-8 byte
+/// becomes U+FFFD and fails that line's seal instead of ending the read.
+/// Each item is the line plus the raw bytes it took in the stream,
+/// terminator included; only an I/O error yields `Err`.
+pub struct LossyLines<R> {
+    reader: R,
+}
+
+impl<R: BufRead> LossyLines<R> {
+    /// Reads lines from `reader`.
+    pub fn new(reader: R) -> LossyLines<R> {
+        LossyLines { reader }
+    }
+}
+
+impl<R: BufRead> Iterator for LossyLines<R> {
+    type Item = std::io::Result<(String, usize)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut raw = Vec::new();
+        let read = match self.reader.read_until(b'\n', &mut raw) {
+            Ok(0) => return None,
+            Ok(read) => read,
+            Err(e) => return Some(Err(e)),
+        };
+        if raw.last() == Some(&b'\n') {
+            raw.pop();
+            if raw.last() == Some(&b'\r') {
+                raw.pop();
+            }
+        }
+        let line = String::from_utf8(raw)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+        Some(Ok((line, read)))
     }
 }
 
@@ -153,6 +194,32 @@ mod tests {
         for line in ["", "{}", "not sealed", "0123456 short-prefix", "xyz45678 p"] {
             assert_eq!(unseal(line), Unsealed::Bare(line), "line = {line:?}");
         }
+    }
+
+    #[test]
+    fn lossy_lines_split_like_bufread_lines_and_count_raw_bytes() {
+        let stream: &[u8] = b"one\r\ntwo\n\nthree";
+        let lines: Vec<(String, usize)> = LossyLines::new(stream).map(Result::unwrap).collect();
+        assert_eq!(
+            lines,
+            [
+                ("one".to_string(), 5),
+                ("two".to_string(), 4),
+                (String::new(), 1),
+                ("three".to_string(), 5),
+            ]
+        );
+        let std_lines: Vec<String> = std::io::BufRead::lines(stream)
+            .map(Result::unwrap)
+            .collect();
+        let ours: Vec<String> = lines.into_iter().map(|(line, _)| line).collect();
+        assert_eq!(ours, std_lines);
+
+        // A byte that is not UTF-8 is replaced, and the read goes on.
+        let damaged: &[u8] = b"one\nt\xffo\nthree";
+        let lines: Vec<(String, usize)> = LossyLines::new(damaged).map(Result::unwrap).collect();
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[1], ("t\u{FFFD}o".to_string(), 4));
     }
 
     #[test]

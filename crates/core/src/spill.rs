@@ -23,9 +23,9 @@
 //! ascending user order — the invariant the affinity analyses rely on.
 
 use crate::faults::{self, FaultKind};
-use crate::journal::{seal, unseal, Unsealed};
+use crate::journal::{seal, unseal, LossyLines, Unsealed};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Injection site: one sealed chunk appended to a spill file.
@@ -363,7 +363,7 @@ pub struct SpillHealth {
 /// quarantined and is skipped; a bad *final* line is reported as a torn
 /// tail. Either way `next_chunk` keeps returning only verified chunks.
 pub struct SpillReader {
-    lines: std::iter::Peekable<std::io::Lines<BufReader<File>>>,
+    lines: std::iter::Peekable<LossyLines<BufReader<File>>>,
     health: SpillHealth,
     bytes_read: u64,
 }
@@ -372,7 +372,7 @@ impl SpillReader {
     /// Opens the spill file at `path`.
     pub fn open(path: &Path) -> std::io::Result<SpillReader> {
         Ok(SpillReader {
-            lines: BufReader::new(File::open(path)?).lines().peekable(),
+            lines: LossyLines::new(BufReader::new(File::open(path)?)).peekable(),
             health: SpillHealth::default(),
             bytes_read: 0,
         })
@@ -383,15 +383,17 @@ impl SpillReader {
     pub fn next_chunk(&mut self) -> Option<(String, Vec<Vec<u64>>)> {
         loop {
             let line = match self.lines.next()? {
-                Ok(line) => line,
-                // An unreadable line (I/O error, invalid UTF-8) ends the
-                // readable region; treat it like a torn tail.
+                Ok((line, raw_len)) => {
+                    self.bytes_read += raw_len as u64;
+                    line
+                }
+                // An I/O error ends the readable region; treat it like a
+                // torn tail. (A non-UTF-8 line is only a bad seal.)
                 Err(_) => {
                     self.health.torn_tail = true;
                     return None;
                 }
             };
-            self.bytes_read += line.len() as u64 + 1;
             let decoded = match unseal(&line) {
                 Unsealed::Valid(payload) => decode_chunk(payload),
                 Unsealed::Mismatch | Unsealed::Bare(_) => None,
@@ -588,6 +590,19 @@ mod tests {
         assert_eq!(health.quarantined, 1);
         assert!(!health.torn_tail);
         assert_eq!(chunks[0][0], vec![0, 1]);
+        assert_eq!(chunks[1][0], vec![2, 3]);
+
+        // A high bit flipped inside the middle line leaves invalid UTF-8:
+        // still one quarantined chunk, and the chunk after it still reads.
+        let mut bytes = text.clone().into_bytes();
+        let second = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        bytes[second + 12] ^= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut chunks = Vec::new();
+        let health = fold_spill_file(&path, |_, cols| chunks.push(cols)).unwrap();
+        assert_eq!(health.chunks_read, 2);
+        assert_eq!(health.quarantined, 1);
+        assert!(!health.torn_tail);
         assert_eq!(chunks[1][0], vec![2, 3]);
 
         // Truncate the last line mid-way: torn tail, prefix intact.

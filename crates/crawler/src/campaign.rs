@@ -12,7 +12,7 @@ use crate::client::{ClientStats, CrawlError, CrawlerClient, FaultPlan};
 use crate::proxy::{ProxyPool, Region};
 use crate::server::MarketplaceServer;
 use crate::storage::{read_journal_lossy, JournalHealth, JournalWriter, Record, StorageError};
-use crate::wire::{Request, Response};
+use crate::wire::{Request, Response, WireError};
 use appstore_core::{CommentEvent, DailySnapshot, Dataset, Day, Seed, UpdateEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -106,13 +106,91 @@ pub struct CampaignOutcome {
     pub report: CrawlReport,
 }
 
+/// Crawls one day of a campaign: advances `client`'s clock to the day,
+/// fetches the day's app directory and every listed app page, and
+/// derives update events by diffing each observed version against the
+/// `last_version` ledger (a version bump between consecutive daily
+/// observations is an update, exactly how the paper detected updates
+/// from its daily APK/version diffs). The sorted snapshot goes to
+/// `on_snapshot` before any comment page is requested, so an error
+/// there ends the day with its comments unfetched. Returns the day's
+/// comments and updates.
+#[allow(clippy::too_many_arguments)]
+fn crawl_day<E: From<CrawlError>>(
+    server: &MarketplaceServer<'_>,
+    pool: &mut ProxyPool,
+    client: &mut CrawlerClient,
+    day_index: usize,
+    day: Day,
+    last_version: &mut [Option<u32>],
+    report: &mut CrawlReport,
+    on_snapshot: impl FnOnce(DailySnapshot) -> Result<(), E>,
+) -> Result<(Vec<CommentEvent>, Vec<UpdateEvent>), E> {
+    // A new virtual day begins every 24h of virtual time; crawling is
+    // much faster than a day, so the clock jumps forward.
+    client.advance_to(day_index as u64 * 86_400_000);
+
+    // 1. Discover the day's app directory.
+    let Response::Index { apps } = client.fetch(server, pool, Request::Index { day })? else {
+        return Err(CrawlError::RetriesExhausted {
+            last: WireError::Corrupt,
+        }
+        .into());
+    };
+
+    // 2. Fetch each app page; derive updates from version diffs.
+    let mut observations = Vec::with_capacity(apps.len());
+    let mut updates = Vec::new();
+    for app in apps {
+        match client.fetch(server, pool, Request::AppPage { app, day }) {
+            Ok(Response::AppPage { observation }) => {
+                report.app_pages += 1;
+                let seen = &mut last_version[observation.app.index()];
+                if seen.is_some_and(|previous| observation.version > previous) {
+                    updates.push(UpdateEvent {
+                        app: observation.app,
+                        day,
+                        version: observation.version,
+                    });
+                }
+                *seen = Some(observation.version);
+                observations.push(observation);
+            }
+            Ok(_) | Err(CrawlError::NotFound) => report.failed_pages += 1,
+            Err(e) => return Err(e.into()),
+        }
+    }
+    observations.sort_by_key(|o| o.app);
+    on_snapshot(DailySnapshot { day, observations })?;
+
+    // 3. Pull the day's comment pages.
+    let mut comments = Vec::new();
+    let mut page = 0u32;
+    loop {
+        match client.fetch(server, pool, Request::CommentsPage { day, page }) {
+            Ok(Response::CommentsPage {
+                comments: mut batch,
+                has_more,
+            }) => {
+                report.comment_pages += 1;
+                comments.append(&mut batch);
+                if !has_more {
+                    break;
+                }
+                page += 1;
+            }
+            Ok(_) | Err(CrawlError::NotFound) => break,
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok((comments, updates))
+}
+
 /// Crawls every day of the ground-truth campaign through the simulated
 /// network and reassembles the dataset.
 ///
-/// `updates_out_of_band`: version changes are *derived* from the crawled
-/// app pages (a version bump between consecutive daily observations is
-/// recorded as an update event), exactly how the paper detected updates
-/// from its daily APK/version diffs.
+/// One client crawls the whole campaign; update events are derived from
+/// the crawled app pages, not copied from the ground truth.
 pub fn run_campaign(
     server: &MarketplaceServer<'_>,
     ground_truth: &Dataset,
@@ -131,74 +209,24 @@ pub fn run_campaign(
 
     let days: Vec<Day> = ground_truth.snapshots.iter().map(|s| s.day).collect();
     for (day_index, &day) in days.iter().enumerate() {
-        appstore_obs::span(
-            appstore_obs::names::SPAN_CRAWL_DAY,
-            || -> Result<(), CrawlError> {
-                // A new virtual day begins every 24h of virtual time; crawling
-                // is much faster than a day, so the clock jumps forward.
-                client.advance_to(day_index as u64 * 86_400_000);
-
-                // 1. Discover the day's app directory.
-                let index = client.fetch(server, pool, Request::Index { day })?;
-                let Response::Index { apps } = index else {
-                    return Err(CrawlError::RetriesExhausted {
-                        last: crate::wire::WireError::Corrupt,
-                    });
-                };
-
-                // 2. Fetch each app page.
-                let mut observations = Vec::with_capacity(apps.len());
-                for app in apps {
-                    match client.fetch(server, pool, Request::AppPage { app, day }) {
-                        Ok(Response::AppPage { observation }) => {
-                            report.app_pages += 1;
-                            if let Some(previous) = last_version[observation.app.index()] {
-                                if observation.version > previous {
-                                    updates.push(UpdateEvent {
-                                        app: observation.app,
-                                        day,
-                                        version: observation.version,
-                                    });
-                                }
-                            }
-                            last_version[observation.app.index()] = Some(observation.version);
-                            observations.push(observation);
-                        }
-                        Ok(_) => {
-                            report.failed_pages += 1;
-                        }
-                        Err(CrawlError::NotFound) => {
-                            report.failed_pages += 1;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                observations.sort_by_key(|o| o.app);
-                snapshots.push(DailySnapshot { day, observations });
-
-                // 3. Pull the day's comment pages.
-                let mut page = 0u32;
-                loop {
-                    match client.fetch(server, pool, Request::CommentsPage { day, page }) {
-                        Ok(Response::CommentsPage {
-                            comments: mut batch,
-                            has_more,
-                        }) => {
-                            report.comment_pages += 1;
-                            comments.append(&mut batch);
-                            if !has_more {
-                                break;
-                            }
-                            page += 1;
-                        }
-                        Ok(_) => break,
-                        Err(CrawlError::NotFound) => break,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(())
-            },
-        )?;
+        let (mut day_comments, mut day_updates) =
+            appstore_obs::span(appstore_obs::names::SPAN_CRAWL_DAY, || {
+                crawl_day(
+                    server,
+                    pool,
+                    &mut client,
+                    day_index,
+                    day,
+                    &mut last_version,
+                    &mut report,
+                    |snapshot| {
+                        snapshots.push(snapshot);
+                        Ok::<(), CrawlError>(())
+                    },
+                )
+            })?;
+        comments.append(&mut day_comments);
+        updates.append(&mut day_updates);
     }
 
     report.days = days.len() as u32;
@@ -323,9 +351,10 @@ pub fn canonicalize(dataset: &mut Dataset) {
 /// already contains.
 ///
 /// On startup the journal is replayed with [`read_journal_lossy`]: the
-/// last contiguous `DayComplete` checkpoint determines the resume point,
-/// quarantined lines are skipped, and a damaged or missing header starts
-/// the campaign over. Each crawl day uses a fresh client seeded by the
+/// first day without a trusted `DayComplete` checkpoint
+/// ([`JournalHealth::trusted_days`]) is the resume point, quarantined
+/// lines are skipped, and a damaged or missing header starts the
+/// campaign over. Each crawl day uses a fresh client seeded by the
 /// day index (`seed.child_indexed("day", index)`), so a re-crawled day
 /// replays the exact request stream of the uninterrupted run and the
 /// deduplicating journal replay converges to the identical dataset — the
@@ -430,76 +459,29 @@ pub fn run_campaign_resumable(
                 // and restarted in between.
                 let mut client =
                     CrawlerClient::new(region, faults, seed.child_indexed("day", day_index as u64));
-                client.advance_to(day_index as u64 * 86_400_000);
-
-                // 1. Discover the day's app directory.
-                let index = client.fetch(server, pool, Request::Index { day })?;
-                let Response::Index { apps } = index else {
-                    return Err(CampaignError::Crawl(CrawlError::RetriesExhausted {
-                        last: crate::wire::WireError::Corrupt,
-                    }));
-                };
-
-                // 2. Fetch each app page; derive updates from version diffs.
-                let mut observations = Vec::with_capacity(apps.len());
-                let mut day_updates: Vec<UpdateEvent> = Vec::new();
-                for app in apps {
-                    match client.fetch(server, pool, Request::AppPage { app, day }) {
-                        Ok(Response::AppPage { observation }) => {
-                            report.app_pages += 1;
-                            if let Some(previous) = last_version[observation.app.index()] {
-                                if observation.version > previous {
-                                    day_updates.push(UpdateEvent {
-                                        app: observation.app,
-                                        day,
-                                        version: observation.version,
-                                    });
-                                }
-                            }
-                            last_version[observation.app.index()] = Some(observation.version);
-                            observations.push(observation);
+                let (comments, updates) = crawl_day(
+                    server,
+                    pool,
+                    &mut client,
+                    day_index,
+                    day,
+                    &mut last_version,
+                    &mut report,
+                    |snapshot| {
+                        out.append(&Record::Snapshot(snapshot))?;
+                        if crashes.crash_mid_day == Some(day_index as u32) {
+                            // Simulated process death: snapshot flushed, the
+                            // rest of the day (comments, updates, checkpoint)
+                            // lost.
+                            return Err(CampaignError::Crashed { day });
                         }
-                        Ok(_) | Err(CrawlError::NotFound) => {
-                            report.failed_pages += 1;
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                observations.sort_by_key(|o| o.app);
-                out.append(&Record::Snapshot(DailySnapshot { day, observations }))?;
+                        Ok(())
+                    },
+                )?;
+                out.append_chunked(&comments, Record::Comments)?;
+                out.append_chunked(&updates, Record::Updates)?;
 
-                if crashes.crash_mid_day == Some(day_index as u32) {
-                    // Simulated process death: snapshot flushed, the rest of
-                    // the day (comments, updates, checkpoint) lost.
-                    return Err(CampaignError::Crashed { day });
-                }
-
-                // 3. Pull the day's comment pages.
-                let mut day_comments: Vec<CommentEvent> = Vec::new();
-                let mut page = 0u32;
-                loop {
-                    match client.fetch(server, pool, Request::CommentsPage { day, page }) {
-                        Ok(Response::CommentsPage {
-                            comments: mut batch,
-                            has_more,
-                        }) => {
-                            report.comment_pages += 1;
-                            day_comments.append(&mut batch);
-                            if !has_more {
-                                break;
-                            }
-                            page += 1;
-                        }
-                        Ok(_) | Err(CrawlError::NotFound) => break,
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                out.append_chunked(&day_comments, Record::Comments)?;
-                if !day_updates.is_empty() {
-                    out.append_chunked(&day_updates, Record::Updates)?;
-                }
-
-                // 4. Checkpoint: the day is durable.
+                // Checkpoint: the day is durable.
                 out.day_complete(day)?;
                 report.days += 1;
                 report.virtual_ms = report.virtual_ms.max(client.now_ms());
@@ -786,6 +768,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CampaignError::Crashed { day: Day(2) }));
+        // The crash fired right after day 2's snapshot was flushed, so
+        // that line ends the journal: nothing of day 2 follows it.
+        let mut snapshot_line = Vec::new();
+        JournalWriter::resume(&mut snapshot_line)
+            .append(&Record::Snapshot(truth.snapshots[2].clone()))
+            .unwrap();
+        assert!(journal.ends_with(&snapshot_line));
 
         let resumed = run_campaign_resumable(
             &server,
@@ -805,6 +794,44 @@ mod tests {
         assert_eq!(resumed.dataset, reference.dataset);
         let (_, health) = read_journal_lossy(journal.as_slice());
         assert!(health.records_deduplicated > 0, "partial day overlaps");
+    }
+
+    /// Both entry points run the same day loop, so for one ground truth
+    /// they harvest the same dataset, with and without transport faults.
+    #[test]
+    fn plain_and_resumable_campaigns_harvest_the_same_dataset() {
+        let truth = ground_truth();
+        let server = quiet_server(&truth);
+        let noisy = FaultPlan {
+            drop_chance: 0.05,
+            corrupt_chance: 0.05,
+        };
+        for faults in [FaultPlan::default(), noisy] {
+            let mut plain = run_campaign(
+                &server,
+                &truth,
+                &mut ProxyPool::planetlab(0, 10),
+                None,
+                faults,
+                Seed::new(25),
+            )
+            .unwrap()
+            .dataset;
+            canonicalize(&mut plain);
+            let resumable = run_campaign_resumable(
+                &server,
+                &truth,
+                &mut ProxyPool::planetlab(0, 10),
+                None,
+                faults,
+                CampaignFaultPlan::NONE,
+                Seed::new(25),
+                &mut Vec::new(),
+            )
+            .unwrap()
+            .dataset;
+            assert!(plain == resumable, "harvests differ under {faults:?}");
+        }
     }
 
     #[test]

@@ -19,11 +19,14 @@
 //!   payload corruption) in the spirit of smoltcp's example harnesses;
 //! * [`campaign`] — the daily crawl loop that re-assembles a full
 //!   [`appstore_core::Dataset`] from harvested pages and reports crawl
-//!   statistics; [`campaign::run_campaign_resumable`] adds per-day
-//!   checkpointing to a journal and crash/resume recovery;
-//! * [`storage`] — the crawl database: a checksummed line-delimited JSON
-//!   journal with corruption quarantine ([`storage::read_journal_lossy`])
-//!   and day-complete checkpoint markers.
+//!   statistics. One day function crawls each day for both entry points:
+//!   [`campaign::run_campaign`] collects in memory, and
+//!   [`campaign::run_campaign_resumable`] adds per-day checkpointing to a
+//!   journal and crash/resume recovery;
+//! * [`storage`] — the crawl database: a line-delimited JSON journal,
+//!   sealed line by line through [`appstore_core::journal`], with
+//!   corruption quarantine ([`storage::read_journal_lossy`]) and
+//!   day-complete checkpoint markers.
 //!
 //! Time is *virtual*: a millisecond counter advanced by request latency
 //! and backoff sleeps, which keeps the simulation deterministic and

@@ -22,11 +22,11 @@
 //!   deduplicates records, so a partially-written day followed by its
 //!   re-crawl converges to the same dataset as an uninterrupted run;
 //! - [`JournalWriter`] appends sealed records incrementally (create or
-//!   resume), giving `run_campaign` its checkpoint stream.
+//!   resume), giving `run_campaign_resumable` its checkpoint stream.
 
+use appstore_core::journal::{self, LossyLines, SealedWriter};
 use appstore_core::{
-    journal, App, CategorySet, CommentEvent, DailySnapshot, Dataset, Day, Developer, StoreMeta,
-    UpdateEvent,
+    App, CategorySet, CommentEvent, DailySnapshot, Dataset, Day, Developer, StoreMeta, UpdateEvent,
 };
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -106,14 +106,6 @@ impl From<std::io::Error> for StorageError {
 
 pub use appstore_core::journal::crc32;
 
-/// Renders a record as a sealed journal line (without trailing newline).
-fn seal(record: &Record) -> Result<String, StorageError> {
-    let payload = serde_json::to_string(record).map_err(|e| StorageError::Serialize {
-        detail: e.to_string(),
-    })?;
-    Ok(journal::seal(&payload))
-}
-
 /// Why a journal line was rejected.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LineFault {
@@ -154,7 +146,7 @@ fn parse_line(line: &str) -> Result<Record, LineFault> {
 /// This is the checkpoint stream a resumable crawl writes as each day
 /// completes.
 pub struct JournalWriter<W: Write> {
-    writer: W,
+    writer: SealedWriter<W>,
 }
 
 impl<W: Write> JournalWriter<W> {
@@ -164,7 +156,9 @@ impl<W: Write> JournalWriter<W> {
         store: &StoreMeta,
         categories: &CategorySet,
     ) -> Result<JournalWriter<W>, StorageError> {
-        let mut journal = JournalWriter { writer };
+        let mut journal = JournalWriter {
+            writer: SealedWriter::new(writer),
+        };
         journal.append(&Record::Header {
             store: store.clone(),
             categories: categories.clone(),
@@ -175,14 +169,17 @@ impl<W: Write> JournalWriter<W> {
     /// Wraps a stream positioned at the end of an existing journal
     /// (resume mode): nothing is written until the first append.
     pub fn resume(writer: W) -> JournalWriter<W> {
-        JournalWriter { writer }
+        JournalWriter {
+            writer: SealedWriter::new(writer),
+        }
     }
 
     /// Appends one sealed record and flushes it.
     pub fn append(&mut self, record: &Record) -> Result<(), StorageError> {
-        let line = seal(record)?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let payload = serde_json::to_string(record).map_err(|e| StorageError::Serialize {
+            detail: e.to_string(),
+        })?;
+        self.writer.append(&payload)?;
         self.writer.flush()?;
         Ok(())
     }
@@ -207,34 +204,15 @@ impl<W: Write> JournalWriter<W> {
 
 /// Writes a dataset as a sealed line-delimited JSON journal.
 pub fn write_journal<W: Write>(dataset: &Dataset, writer: W) -> Result<(), StorageError> {
-    let mut w = BufWriter::new(writer);
-    let mut emit = |record: &Record| -> Result<(), StorageError> {
-        let line = seal(record)?;
-        w.write_all(line.as_bytes())?;
-        w.write_all(b"\n")?;
-        Ok(())
-    };
-    emit(&Record::Header {
-        store: dataset.store.clone(),
-        categories: dataset.categories.clone(),
-    })?;
-    for chunk in dataset.apps.chunks(CHUNK) {
-        emit(&Record::Apps(chunk.to_vec()))?;
-    }
-    for chunk in dataset.developers.chunks(CHUNK) {
-        emit(&Record::Developers(chunk.to_vec()))?;
-    }
+    let mut journal =
+        JournalWriter::create(BufWriter::new(writer), &dataset.store, &dataset.categories)?;
+    journal.append_chunked(&dataset.apps, Record::Apps)?;
+    journal.append_chunked(&dataset.developers, Record::Developers)?;
     for snapshot in &dataset.snapshots {
-        emit(&Record::Snapshot(snapshot.clone()))?;
+        journal.append(&Record::Snapshot(snapshot.clone()))?;
     }
-    for chunk in dataset.comments.chunks(CHUNK) {
-        emit(&Record::Comments(chunk.to_vec()))?;
-    }
-    for chunk in dataset.updates.chunks(CHUNK) {
-        emit(&Record::Updates(chunk.to_vec()))?;
-    }
-    w.flush()?;
-    Ok(())
+    journal.append_chunked(&dataset.comments, Record::Comments)?;
+    journal.append_chunked(&dataset.updates, Record::Updates)
 }
 
 /// Reads a journal back into a dataset.
@@ -340,20 +318,6 @@ impl JournalHealth {
         trusted
     }
 
-    /// The last day of the contiguous complete prefix: the resume point.
-    /// `None` when day 0 itself never completed.
-    pub fn last_contiguous_day(&self) -> Option<Day> {
-        let mut last: Option<Day> = None;
-        for &day in &self.days_complete {
-            match last {
-                None if day.0 == 0 => last = Some(day),
-                Some(prev) if day.0 == prev.0 + 1 => last = Some(day),
-                _ => break,
-            }
-        }
-        last
-    }
-
     /// Whether every inspected line survived.
     pub fn is_clean(&self) -> bool {
         self.quarantined.is_empty() && !self.truncated_tail
@@ -457,9 +421,10 @@ pub fn read_journal_lossy<R: Read>(reader: R) -> (Option<Dataset>, JournalHealth
     let mut health = JournalHealth::default();
     let mut replay: Option<Replay> = None;
     let mut last_was_damaged = false;
-    for (index, line) in BufReader::new(reader).lines().enumerate() {
-        let Ok(line) = line else {
-            // Unreadable bytes mid-stream: treat as a damaged final line.
+    for (index, line) in LossyLines::new(BufReader::new(reader)).enumerate() {
+        let Ok((line, _)) = line else {
+            // An I/O error mid-stream: treat as a damaged final line. (A
+            // non-UTF-8 line is only a bad seal, quarantined alone.)
             health.quarantined.push(QuarantinedLine {
                 line: index + 1,
                 fault: LineFault::Unparseable,
@@ -593,9 +558,12 @@ mod tests {
             read_journal(std::io::empty()),
             Err(StorageError::MissingHeader)
         ));
-        let not_header = seal(&Record::Apps(vec![])).unwrap();
+        let mut not_header = Vec::new();
+        JournalWriter::resume(&mut not_header)
+            .append(&Record::Apps(vec![]))
+            .unwrap();
         assert!(matches!(
-            read_journal(not_header.as_bytes()),
+            read_journal(not_header.as_slice()),
             Err(StorageError::MissingHeader)
         ));
     }
@@ -713,7 +681,7 @@ mod tests {
         }
         let (_, health) = read_journal_lossy(buffer.as_slice());
         assert_eq!(health.days_complete, vec![Day(0), Day(1), Day(3)]);
-        assert_eq!(health.last_contiguous_day(), Some(Day(1)));
+        assert_eq!(health.trusted_days(), vec![Day(0), Day(1), Day(3)]);
     }
 
     #[test]

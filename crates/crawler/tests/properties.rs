@@ -88,8 +88,13 @@ proptest! {
 
     /// Corrupting any single non-header line of a sealed journal loses
     /// exactly that line: it is quarantined, every other record loads.
+    /// The flipped bit is the low one (the line stays UTF-8) or the high
+    /// one (it does not).
     #[test]
-    fn any_single_corrupted_line_quarantines_exactly_one(fraction in 0.0f64..1.0) {
+    fn any_single_corrupted_line_quarantines_exactly_one(
+        fraction in 0.0f64..1.0,
+        high_bit in any::<bool>(),
+    ) {
         let pristine = sealed_journal();
         let lines = pristine.split(|&b| b == b'\n').filter(|l| !l.is_empty()).count();
         let (_, clean) = read_journal_lossy(pristine);
@@ -110,7 +115,7 @@ proptest! {
             }
         }
         let end = start + pristine[start..].iter().position(|&b| b == b'\n').unwrap();
-        damaged[start + (end - start) / 2] ^= 0x01;
+        damaged[start + (end - start) / 2] ^= if high_bit { 0x80 } else { 0x01 };
 
         let (replayed, health) = read_journal_lossy(damaged.as_slice());
         prop_assert!(replayed.is_some(), "header intact, dataset must load");

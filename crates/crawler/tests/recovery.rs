@@ -133,9 +133,9 @@ fn journal_corrupted_between_runs_is_quarantined_and_recrawled() {
     )
     .unwrap();
 
-    // Crash after day 2, then flip a bit in the stored journal — the
+    // Crash after day 2, then damage one byte of the stored journal — the
     // kind of damage a torn write or disk fault leaves behind.
-    let mut journal = Vec::new();
+    let mut crashed = Vec::new();
     let err = run_campaign_resumable(
         &server,
         &truth,
@@ -147,30 +147,40 @@ fn journal_corrupted_between_runs_is_quarantined_and_recrawled() {
             crash_mid_day: None,
         },
         seed,
-        &mut journal,
+        &mut crashed,
     )
     .unwrap_err();
     assert!(matches!(err, CampaignError::Crashed { .. }));
-    let target = (journal.len() / 2..journal.len())
-        .find(|&i| journal[i].is_ascii_digit())
+    let (_, clean) = read_journal_lossy(crashed.as_slice());
+    let target = (crashed.len() / 2..crashed.len())
+        .find(|&i| crashed[i].is_ascii_digit())
         .expect("journal has digits");
-    journal[target] = if journal[target] == b'9' { b'8' } else { b'9' };
 
-    let resumed = run_campaign_resumable(
-        &server,
-        &truth,
-        &mut ProxyPool::planetlab(0, 20),
-        None,
-        FaultPlan::default(),
-        CampaignFaultPlan::NONE,
-        seed,
-        &mut journal,
-    )
-    .unwrap();
-    // The damaged line was quarantined, not fatal…
-    assert_eq!(resumed.initial_health.quarantined.len(), 1);
-    // …and whatever it destroyed was re-crawled: the final dataset still
-    // converges unless the corrupted line was a lone checkpoint marker
-    // (in which case the whole day re-crawls — also converging).
-    assert_eq!(resumed.dataset, reference.dataset);
+    // A digit swap keeps the damaged line UTF-8; a flipped high bit does
+    // not, and must still cost that line alone.
+    let digit_swap = if crashed[target] == b'9' { b'8' } else { b'9' };
+    for damaged in [digit_swap, crashed[target] ^ 0x80] {
+        let mut journal = crashed.clone();
+        journal[target] = damaged;
+        let resumed = run_campaign_resumable(
+            &server,
+            &truth,
+            &mut ProxyPool::planetlab(0, 20),
+            None,
+            FaultPlan::default(),
+            CampaignFaultPlan::NONE,
+            seed,
+            &mut journal,
+        )
+        .unwrap();
+        // The damaged line was quarantined, not fatal, and the read went
+        // on past it…
+        let health = &resumed.initial_health;
+        assert_eq!(health.quarantined.len(), 1, "byte {damaged:#04x}");
+        assert_eq!(health.lines_total, clean.lines_total, "byte {damaged:#04x}");
+        // …and whatever it destroyed was re-crawled: the final dataset
+        // still converges unless the corrupted line was a lone checkpoint
+        // marker (in which case the whole day re-crawls — also converging).
+        assert_eq!(resumed.dataset, reference.dataset, "byte {damaged:#04x}");
+    }
 }

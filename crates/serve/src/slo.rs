@@ -281,11 +281,6 @@ impl SloMonitor {
         self.fast_active
     }
 
-    /// True while the slow-burn alert is raised.
-    pub fn slow_burn_active(&self) -> bool {
-        self.slow_active
-    }
-
     /// Finishes the run: a still-raised alert is counted as recovered
     /// (the stream ended, the window will drain), then the summary with
     /// final availability is returned.

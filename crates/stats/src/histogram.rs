@@ -1,8 +1,7 @@
-//! Linear and logarithmic binning.
+//! Linear binning.
 //!
-//! Figure 12 groups apps into one-dollar price bins; the popularity curves
-//! are often summarized with logarithmic bins. [`Histogram`] supports both
-//! layouts and carries per-bin counts plus an attached value accumulator
+//! Figure 12 groups apps into one-dollar price bins. [`Histogram`] carries
+//! equal-width bins with per-bin counts plus an attached value accumulator
 //! (so "average downloads of apps priced $2–3" is one pass).
 
 use serde::{Deserialize, Serialize};
@@ -40,7 +39,6 @@ impl HistogramBin {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     bins: Vec<HistogramBin>,
-    log_scale: bool,
     lo: f64,
     hi: f64,
 }
@@ -62,37 +60,7 @@ impl Histogram {
                 value_sum: 0.0,
             })
             .collect();
-        Histogram {
-            bins,
-            log_scale: false,
-            lo,
-            hi,
-        }
-    }
-
-    /// Creates `n` logarithmically-spaced bins covering `[lo, hi]`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`, `lo <= 0`, or `hi <= lo`.
-    pub fn logarithmic(lo: f64, hi: f64, n: usize) -> Histogram {
-        assert!(n > 0, "histogram needs at least one bin");
-        assert!(lo > 0.0, "log histogram needs a positive lower edge");
-        assert!(hi > lo, "histogram range must be nonempty");
-        let ratio = (hi / lo).powf(1.0 / n as f64);
-        let bins = (0..n)
-            .map(|i| HistogramBin {
-                lo: lo * ratio.powi(i as i32),
-                hi: lo * ratio.powi(i as i32 + 1),
-                count: 0,
-                value_sum: 0.0,
-            })
-            .collect();
-        Histogram {
-            bins,
-            log_scale: true,
-            lo,
-            hi,
-        }
+        Histogram { bins, lo, hi }
     }
 
     /// Index of the bin containing `x`, or `None` if out of range.
@@ -101,11 +69,7 @@ impl Histogram {
             return None;
         }
         let n = self.bins.len();
-        let raw = if self.log_scale {
-            (x / self.lo).ln() / (self.hi / self.lo).ln() * n as f64
-        } else {
-            (x - self.lo) / (self.hi - self.lo) * n as f64
-        };
+        let raw = (x - self.lo) / (self.hi - self.lo) * n as f64;
         Some((raw.floor() as usize).min(n - 1))
     }
 
@@ -120,11 +84,6 @@ impl Histogram {
             }
             None => false,
         }
-    }
-
-    /// Adds a bare sample (value 0).
-    pub fn add_sample(&mut self, x: f64) -> bool {
-        self.add(x, 0.0)
     }
 
     /// The bins in order.
@@ -146,12 +105,12 @@ mod tests {
     #[test]
     fn linear_binning() {
         let mut h = Histogram::linear(0.0, 10.0, 5);
-        assert!(h.add_sample(0.0)); // bin 0
-        assert!(h.add_sample(1.99)); // bin 0
-        assert!(h.add_sample(2.0)); // bin 1
-        assert!(h.add_sample(10.0)); // clamped into last bin
-        assert!(!h.add_sample(10.01));
-        assert!(!h.add_sample(-0.1));
+        assert!(h.add(0.0, 0.0)); // bin 0
+        assert!(h.add(1.99, 0.0)); // bin 0
+        assert!(h.add(2.0, 0.0)); // bin 1
+        assert!(h.add(10.0, 0.0)); // clamped into last bin
+        assert!(!h.add(10.01, 0.0));
+        assert!(!h.add(-0.1, 0.0));
         let counts: Vec<u64> = h.bins().iter().map(|b| b.count).collect();
         assert_eq!(counts, vec![2, 1, 0, 0, 1]);
         assert_eq!(h.total(), 4);
@@ -170,28 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn log_binning_edges_are_geometric() {
-        let h = Histogram::logarithmic(1.0, 1000.0, 3);
-        let bins = h.bins();
-        assert!((bins[0].hi - 10.0).abs() < 1e-9);
-        assert!((bins[1].hi - 100.0).abs() < 1e-9);
-        assert!((bins[2].hi - 1000.0).abs() < 1e-6);
-        assert_eq!(h.bin_index(5.0), Some(0));
-        assert_eq!(h.bin_index(50.0), Some(1));
-        assert_eq!(h.bin_index(500.0), Some(2));
-        assert_eq!(h.bin_index(1000.0), Some(2));
-    }
-
-    #[test]
     fn nan_is_dropped() {
         let mut h = Histogram::linear(0.0, 1.0, 2);
-        assert!(!h.add_sample(f64::NAN));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive lower edge")]
-    fn log_rejects_zero_edge() {
-        let _ = Histogram::logarithmic(0.0, 10.0, 3);
+        assert!(!h.add(f64::NAN, 0.0));
     }
 
     proptest! {
@@ -203,15 +143,6 @@ mod tests {
             prop_assert!(x >= b.lo - 1e-9);
             // last bin is inclusive at the top
             prop_assert!(x < b.hi + 1e-9 || (i == 16 && x <= 100.0));
-        }
-
-        #[test]
-        fn log_bin_index_matches_edges(x in 1.0f64..10_000.0) {
-            let h = Histogram::logarithmic(1.0, 10_000.0, 13);
-            let i = h.bin_index(x).unwrap();
-            let b = h.bins()[i];
-            prop_assert!(x >= b.lo * (1.0 - 1e-9));
-            prop_assert!(x <= b.hi * (1.0 + 1e-9));
         }
     }
 }

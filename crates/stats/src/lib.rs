@@ -12,7 +12,7 @@
 //! * [`powerlaw`] — Zipf/power-law fitting on rank data (log-log least
 //!   squares and discrete maximum likelihood), generalized harmonic
 //!   numbers;
-//! * [`histogram`] — linear and logarithmic binning;
+//! * [`histogram`] — linear binning with per-bin value sums;
 //! * [`pareto`] — top-share curves, Lorenz curve, Gini coefficient;
 //! * [`distance`] — model-vs-data distances, including the paper's
 //!   Eq. 6 mean relative error;

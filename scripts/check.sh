@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, lints, rustdoc, and every test.
-# Run from anywhere; exits non-zero on the first failure.
+# Run from anywhere. Lints stop at the first failure; the test step runs
+# every test target, then exits non-zero if any failed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,6 +15,6 @@ echo "== cargo doc (workspace, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo test (workspace) =="
-cargo test -q --workspace
+cargo test -q --workspace --no-fail-fast
 
 echo "All checks passed."
