@@ -13,7 +13,7 @@
 use crate::metric::affinity;
 use appstore_core::{CategoryId, CommentEvent, Day};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Affinity measured within one calendar window.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,8 +45,10 @@ where
 {
     assert!(window_days > 0, "window must be at least one day");
     let windows = (last_day.0 / window_days) + 1;
-    // (window, user) -> (apps seen, category string)
-    let mut per_user: HashMap<(u32, u32), (Vec<u32>, Vec<CategoryId>)> = HashMap::new();
+    // (window, user) -> (apps seen, category string). Key order fixes
+    // the order of the per-window float sums, so the means repeat
+    // exactly from run to run.
+    let mut per_user: BTreeMap<(u32, u32), (Vec<u32>, Vec<CategoryId>)> = BTreeMap::new();
     let mut sorted: Vec<&CommentEvent> = comments.iter().collect();
     sorted.sort_by_key(|c| (c.user, c.chrono_key()));
     for c in sorted {

@@ -31,8 +31,8 @@ use appstore_core::faults::{with_injector, FaultInjector, FaultKind, FaultPlan, 
 use appstore_core::Seed;
 use appstore_models::{ModelKind, Simulator};
 use appstore_serve::{
-    fingerprint64, replay, replica_site, with_server, ReplayConfig, ServeConfig, SloPolicy,
-    Workload, SITE_SERVE_HANDLER,
+    fingerprint64, replay, replica_site, with_server, ReplayConfig, ServeConfig, Workload,
+    SITE_SERVE_HANDLER,
 };
 use serde_json::json;
 
@@ -179,7 +179,7 @@ pub fn run(seed: Seed) -> Output {
     let config = serve_config(fo_seed, cache_apps);
     let mut replay_config = ReplayConfig::new(fo_seed.child("client").child("chaos"));
     replay_config.trace_base = TRACE_BASE_FAILOVER;
-    replay_config.slo = Some(SloPolicy::replay_default());
+    replay_config.slo = true;
     let mut probe_config = replay_config.clone();
     probe_config.trace_base = TRACE_BASE_PROBE;
     let injector = FaultInjector::new(failover_plan());

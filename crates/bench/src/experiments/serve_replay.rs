@@ -25,7 +25,7 @@ use appstore_core::{
 use appstore_models::{ModelKind, Simulator};
 use appstore_serve::http::{read_response, HttpResponse};
 use appstore_serve::{
-    replay, with_server, ReplayConfig, ReplayStats, ServeConfig, SloPolicy, SloSummary, Workload,
+    replay, with_server, ReplayConfig, ReplayStats, ServeConfig, SloSummary, Workload,
     SITE_SERVE_BACKING, SITE_SERVE_HANDLER,
 };
 use serde_json::json;
@@ -283,7 +283,7 @@ pub fn run(seed: Seed) -> Output {
     config.flight_dump = std::env::var_os("SERVE_FLIGHT_DUMP").map(std::path::PathBuf::from);
     let mut replay_config = ReplayConfig::new(serve_seed.child("client").child("chaos"));
     replay_config.trace_base = TRACE_BASE_CHAOS;
-    replay_config.slo = Some(SloPolicy::replay_default());
+    replay_config.slo = true;
     let mut probe_config = replay_config.clone();
     probe_config.trace_base = TRACE_BASE_PROBE;
     let probe_events: Vec<_> = workload.events[workload.events.len() - 2_000..].to_vec();

@@ -20,18 +20,16 @@
 //!   ascending ranges, so folding them in order replays users in exactly
 //!   the order `build_user_streams` yields.
 //!
-//! The download fold can checkpoint its state into a sealed merge log
-//! after every shard; a fold killed mid-merge resumes from the last
-//! valid checkpoint and converges to the identical result (the
-//! `spill_faults` test suite proves both properties under the PR-5
-//! fault injector).
+//! A damaged spill chunk costs only its own rows: the folds count it as
+//! quarantined or as a torn tail and never overcount (the `spill_faults`
+//! test suite proves this under the fault injector).
 
 use crate::experiments::behavior::fig5_from_profiles;
 use crate::experiments::model_fit::{fig8_from_inputs, FitInput, FIT_STORES};
 use crate::experiments::popularity::{fig3_from_inputs, PopularityInput};
 use crate::experiments::Output;
 use appstore_affinity::{build_user_streams, UserCommentProfile};
-use appstore_core::spill::{fold_spill_file, SpillWriter};
+use appstore_core::spill::fold_spill_file;
 use appstore_core::{
     par_map_indexed, AppId, CategoryId, CommentEvent, DatasetQuality, Day, Seed, UserId,
 };
@@ -80,9 +78,6 @@ fn heartbeat(
 fn file_bytes(path: &Path) -> u64 {
     std::fs::metadata(path).map_or(0, |m| m.len())
 }
-
-/// Chunk kind tag for download-fold checkpoints in a merge log.
-pub const KIND_FOLD: &str = "fold";
 
 /// Tracked keys in the per-store heavy-hitter summary.
 const HEAVY_CAPACITY: usize = 64;
@@ -170,121 +165,25 @@ pub struct DownloadFold {
     pub heavy: SpaceSaving,
 }
 
-/// One download-fold checkpoint decoded from a merge log.
-struct FoldCheckpoint {
-    shard_next: usize,
-    rows: u64,
-    quarantined: u64,
-    free_counts: Vec<u64>,
-    heavy: SpaceSaving,
-}
-
-fn read_checkpoint(log: &Path, apps: usize) -> Option<FoldCheckpoint> {
-    if !log.exists() {
-        return None;
-    }
-    let mut latest: Option<FoldCheckpoint> = None;
-    // Damage containment comes for free: a torn or corrupted checkpoint
-    // line is skipped and the previous valid one wins.
-    fold_spill_file(log, |kind, cols| {
-        if kind != KIND_FOLD || cols.len() != 8 {
-            return;
-        }
-        let singleton = |i: usize| -> Option<u64> { cols[i].first().copied() };
-        let (Some(shard_next), Some(rows), Some(total), Some(quarantined)) =
-            (singleton(0), singleton(1), singleton(6), singleton(7))
-        else {
-            return;
-        };
-        // A checkpoint from a different scale or app census cannot be
-        // adopted — counter vectors would misalign silently.
-        if cols[2].len() != apps || cols[3].len() != cols[4].len() || cols[3].len() != cols[5].len()
-        {
-            return;
-        }
-        let entries: Vec<(u64, u64, u64)> = cols[3]
-            .iter()
-            .zip(&cols[4])
-            .zip(&cols[5])
-            .map(|((&k, &c), &o)| (k, c, o))
-            .collect();
-        latest = Some(FoldCheckpoint {
-            shard_next: shard_next as usize,
-            rows,
-            quarantined,
-            free_counts: cols[2].clone(),
-            heavy: SpaceSaving::restore(HEAVY_CAPACITY, &entries, total),
-        });
-    })
-    .ok()?;
-    latest
-}
-
-fn write_checkpoint(
-    log: &Path,
-    shard_next: usize,
-    rows: u64,
-    quarantined: u64,
-    free_counts: &[u64],
-    heavy: &SpaceSaving,
-) -> io::Result<()> {
-    let (entries, total) = heavy.snapshot();
-    let keys: Vec<u64> = entries.iter().map(|e| e.0).collect();
-    let counts: Vec<u64> = entries.iter().map(|e| e.1).collect();
-    let overs: Vec<u64> = entries.iter().map(|e| e.2).collect();
-    let mut writer = SpillWriter::open_append(log)?;
-    writer.append(
-        KIND_FOLD,
-        &[
-            &[shard_next as u64],
-            &[rows],
-            free_counts,
-            &keys,
-            &counts,
-            &overs,
-            &[total],
-            &[quarantined],
-        ],
-    )?;
-    writer.finish()?;
-    Ok(())
-}
-
 /// Folds a store's download spill shards (and its paid file) into exact
 /// per-app counters, one shard at a time.
-///
-/// With `merge_log` set, the fold seals a checkpoint chunk after every
-/// shard and resumes from the last valid checkpoint on the next call —
-/// a fold killed between (or during) shards converges to the identical
-/// result. The paid file is small and unsharded; it is re-folded on
-/// every call rather than checkpointed.
-pub fn fold_downloads(spill: &StoreSpill, merge_log: Option<&Path>) -> io::Result<DownloadFold> {
+pub fn fold_downloads(spill: &StoreSpill) -> io::Result<DownloadFold> {
     appstore_obs::span(appstore_obs::names::SPAN_SPILL_FOLD, || {
-        fold_downloads_inner(spill, merge_log)
+        fold_downloads_inner(spill)
     })
 }
 
-fn fold_downloads_inner(spill: &StoreSpill, merge_log: Option<&Path>) -> io::Result<DownloadFold> {
+fn fold_downloads_inner(spill: &StoreSpill) -> io::Result<DownloadFold> {
     let apps = spill.app_category.len();
     let mut free_counts = vec![0u64; apps];
     let mut heavy = SpaceSaving::new(HEAVY_CAPACITY);
     let mut rows = 0u64;
     let mut quarantined = 0u64;
     let mut torn_tails = 0u64;
-    let mut first_shard = 0usize;
-    if let Some(log) = merge_log {
-        if let Some(checkpoint) = read_checkpoint(log, apps) {
-            first_shard = checkpoint.shard_next.min(spill.shard_downloads.len());
-            rows = checkpoint.rows;
-            quarantined = checkpoint.quarantined;
-            free_counts = checkpoint.free_counts;
-            heavy = checkpoint.heavy;
-        }
-    }
     let started = Instant::now();
     let mut bytes_read = 0u64;
-    for shard in first_shard..spill.shard_downloads.len() {
-        let health = fold_spill_file(&spill.shard_downloads[shard], |kind, cols| {
+    for (shard, path) in spill.shard_downloads.iter().enumerate() {
+        let health = fold_spill_file(path, |kind, cols| {
             if kind != KIND_DOWNLOAD || cols.len() != 3 {
                 return;
             }
@@ -298,7 +197,7 @@ fn fold_downloads_inner(spill: &StoreSpill, merge_log: Option<&Path>) -> io::Res
         })?;
         quarantined += health.quarantined;
         torn_tails += u64::from(health.torn_tail);
-        bytes_read += file_bytes(&spill.shard_downloads[shard]);
+        bytes_read += file_bytes(path);
         heartbeat(
             "download-fold",
             shard + 1,
@@ -308,9 +207,6 @@ fn fold_downloads_inner(spill: &StoreSpill, merge_log: Option<&Path>) -> io::Res
             bytes_read,
             quarantined,
         );
-        if let Some(log) = merge_log {
-            write_checkpoint(log, shard + 1, rows, quarantined, &free_counts, &heavy)?;
-        }
     }
     let mut paid_counts = vec![0u64; apps];
     let health = fold_spill_file(&spill.paid_downloads, |kind, cols| {
@@ -465,7 +361,7 @@ pub(crate) fn fig3(stores: &StreamingStores) -> io::Result<Output> {
     let mut quarantined = 0u64;
     let mut top_apps = serde_json::Value::Object(Vec::new());
     for (profile, spill) in &stores.spills {
-        let fold = fold_downloads(spill, None)?;
+        let fold = fold_downloads(spill)?;
         quarantined += fold.quarantined;
         // Free apps present in the final snapshot, exactly the set the
         // in-memory path ranks; zero-download apps included.
@@ -499,7 +395,7 @@ pub(crate) fn fig3(stores: &StreamingStores) -> io::Result<Output> {
 /// Fig. 5 over the spilled Anzhi download and comment shards.
 pub(crate) fn fig5(stores: &StreamingStores) -> io::Result<Output> {
     let (_, spill) = stores.by_name("anzhi").expect("anzhi store present");
-    let downloads = fold_downloads(spill, None)?;
+    let downloads = fold_downloads(spill)?;
     let comments = fold_comments(spill)?;
     let mut per_category = vec![0u64; spill.categories];
     for (app, &category) in spill.app_category.iter().enumerate() {
@@ -534,7 +430,7 @@ pub(crate) fn fig8(stores: &StreamingStores, seed: Seed) -> io::Result<Output> {
     let mut quarantined = 0u64;
     for name in FIT_STORES {
         let (_, spill) = stores.by_name(name).expect("fit store present");
-        let fold = fold_downloads(spill, None)?;
+        let fold = fold_downloads(spill)?;
         quarantined += fold.quarantined;
         // All apps in the final snapshot, free + paid downloads — the
         // streaming twin of `final_downloads_ranked`.

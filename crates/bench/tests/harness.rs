@@ -142,6 +142,45 @@ fn zero_scale_is_rejected() {
     assert!(stderr.contains("--scale"), "{stderr}");
 }
 
+/// `repro --json` repeats byte for byte from one process to the next.
+/// A float sum taken in `HashMap` order would not: std seeds each map's
+/// order per process, so only the last digits would change.
+#[test]
+fn json_results_repeat_byte_for_byte() {
+    let dir = std::env::temp_dir().join(format!("repro-json-repeat-{}", std::process::id()));
+    let run = |round: usize| -> Vec<(String, Vec<u8>)> {
+        let out = dir.join(round.to_string());
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--scale", "16", "--threads", "1", "--json"])
+            .arg(&out)
+            .args(["ablate-drift", "recommend"])
+            .output()
+            .expect("spawn repro");
+        assert!(
+            output.status.success(),
+            "{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&out)
+            .expect("json dir")
+            .map(|entry| {
+                let path = entry.expect("dir entry").path();
+                let name = path.file_name().expect("file name");
+                let name = name.to_string_lossy().into_owned();
+                (name, std::fs::read(&path).expect("read json"))
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let first = run(0);
+    assert_eq!(first.len(), 2, "one JSON file per experiment");
+    for round in 1..3 {
+        assert!(run(round) == first, "run {round} wrote different JSON");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn experiments_are_deterministic() {
     let seed = Seed::new(7);

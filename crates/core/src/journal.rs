@@ -3,17 +3,19 @@
 //! The resumable crawler introduced a line-delimited journal where every
 //! line is *sealed*: prefixed with the CRC32 of its payload so storage
 //! corruption is detected instead of silently parsed. The checkpointed
-//! fit pipeline needs the same guarantee for its own intermediate state,
-//! so the format lives here and both consumers delegate to it.
+//! fit pipeline and the out-of-core spill files need the same guarantee,
+//! so the format and the discipline for reading and resuming a sealed
+//! log live here, and every log delegates to them.
 //!
-//! A sealed line is `"{crc32:08x} {payload}"`. [`unseal`] classifies a
-//! line as [`Unsealed::Valid`] (seal matches), [`Unsealed::Mismatch`]
-//! (seal-shaped but the checksum disagrees — bit rot or a torn write) or
-//! [`Unsealed::Bare`] (not seal-shaped at all; legacy journals stored
-//! bare JSON and callers may still accept it). Payload semantics — what
-//! the sealed string *means* — stay with the caller. [`SealedWriter`]
-//! writes sealed lines; [`LossyLines`] reads them back without trusting
-//! the stream to be UTF-8, so one damaged byte costs one line.
+//! A sealed line is `"{crc32:08x} {payload}"`. [`unseal`] returns the
+//! verified payload, or `None` for any other line — a checksum that
+//! disagrees (bit rot, a torn write) or a line that is not seal-shaped
+//! at all: every log is sealed, so an unsealed line is damage. Payload
+//! semantics — what the sealed string *means* — stay with the caller.
+//! [`SealedWriter`] writes sealed lines; [`LossyLines`] is the one line
+//! reader of every sealed log, and does not trust the stream to be
+//! UTF-8, so one damaged byte costs one line; [`heal_torn_tail`] ends a
+//! torn final line before a resumed run appends to the log.
 
 use std::io::{BufRead, Write};
 
@@ -53,34 +55,28 @@ pub fn seal(payload: &str) -> String {
     format!("{:08x} {payload}", crc32(payload.as_bytes()))
 }
 
-/// The classification [`unseal`] gives one journal line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unsealed<'a> {
-    /// Seal-shaped and the checksum matches; the verified payload.
-    Valid(&'a str),
-    /// Seal-shaped but the checksum disagrees with the payload.
-    Mismatch,
-    /// Not seal-shaped; the whole line, for legacy bare-payload readers.
-    Bare(&'a str),
+/// The verified payload of one sealed line, or `None` when the line is
+/// damage.
+///
+/// A line is seal-shaped when it starts with eight hex digits and a
+/// space followed by at least one payload byte. A line that is not, or
+/// whose seal disagrees with its payload, is `None`.
+pub fn unseal(line: &str) -> Option<&str> {
+    let bytes = line.as_bytes();
+    if bytes.len() <= 9 || bytes[8] != b' ' || !bytes[..8].iter().all(u8::is_ascii_hexdigit) {
+        return None;
+    }
+    let expected = u32::from_str_radix(&line[..8], 16).ok()?;
+    (crc32(&bytes[9..]) == expected).then(|| &line[9..])
 }
 
-/// Classifies one journal line against its seal.
-///
-/// A line counts as seal-shaped when it starts with eight hex digits and
-/// a space followed by at least one payload byte; anything else is
-/// [`Unsealed::Bare`] and its meaning is up to the caller.
-pub fn unseal(line: &str) -> Unsealed<'_> {
-    let bytes = line.as_bytes();
-    if bytes.len() > 9 && bytes[8] == b' ' && bytes[..8].iter().all(u8::is_ascii_hexdigit) {
-        match u32::from_str_radix(&line[..8], 16) {
-            Ok(expected) if crc32(&bytes[9..]) == expected => Unsealed::Valid(&line[9..]),
-            Ok(_) => Unsealed::Mismatch,
-            // Unreachable after the hex-digit guard, but a typed fallback
-            // beats a panic on a hostile journal.
-            Err(_) => Unsealed::Bare(line),
-        }
-    } else {
-        Unsealed::Bare(line)
+/// Ends a torn final line — a partial write without its newline — so
+/// the next appended line starts on a line of its own. The fragment
+/// stays in the log and reads back as one damaged line; without the
+/// newline, the first appended line would be glued to it and lost too.
+pub fn heal_torn_tail(log: &mut Vec<u8>) {
+    if log.last().is_some_and(|&b| b != b'\n') {
+        log.push(b'\n');
     }
 }
 
@@ -165,7 +161,7 @@ mod tests {
     #[test]
     fn seal_then_unseal_round_trips() {
         let line = seal(r#"{"k":1}"#);
-        assert_eq!(unseal(&line), Unsealed::Valid(r#"{"k":1}"#));
+        assert_eq!(unseal(&line), Some(r#"{"k":1}"#));
     }
 
     #[test]
@@ -174,7 +170,7 @@ mod tests {
         let last = line.len() - 1;
         line[last] ^= 0x01;
         let line = String::from_utf8(line).unwrap();
-        assert_eq!(unseal(&line), Unsealed::Mismatch);
+        assert_eq!(unseal(&line), None);
     }
 
     #[test]
@@ -186,14 +182,41 @@ mod tests {
             let tail = &line[1..];
             format!("0{tail}")
         };
-        assert_eq!(unseal(&flipped), Unsealed::Mismatch);
+        assert_eq!(unseal(&flipped), None);
     }
 
     #[test]
-    fn non_seal_shaped_lines_are_bare() {
-        for line in ["", "{}", "not sealed", "0123456 short-prefix", "xyz45678 p"] {
-            assert_eq!(unseal(line), Unsealed::Bare(line), "line = {line:?}");
+    fn non_seal_shaped_lines_are_damage() {
+        for line in [
+            "",
+            "{}",
+            r#"{"k":1}"#,
+            "not sealed",
+            "0123456 short-prefix",
+            "xyz45678 p",
+            "0123abcd ",
+        ] {
+            assert_eq!(unseal(line), None, "line = {line:?}");
         }
+    }
+
+    #[test]
+    fn heal_torn_tail_ends_only_a_torn_line() {
+        let mut log = Vec::new();
+        heal_torn_tail(&mut log);
+        assert!(log.is_empty(), "an empty log stays empty");
+        let mut log = b"00000000 a\n".to_vec();
+        heal_torn_tail(&mut log);
+        assert_eq!(log, b"00000000 a\n", "a whole last line is left alone");
+        let line = seal("whole");
+        let mut log = format!("{line}\n{}", &line[..6]).into_bytes();
+        heal_torn_tail(&mut log);
+        SealedWriter::new(&mut log).append("next").unwrap();
+        let lines: Vec<String> = LossyLines::new(log.as_slice())
+            .map(|line| line.unwrap().0)
+            .collect();
+        let payloads: Vec<Option<&str>> = lines.iter().map(|l| unseal(l)).collect();
+        assert_eq!(payloads, [Some("whole"), None, Some("next")]);
     }
 
     #[test]
@@ -234,7 +257,7 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(unseal(lines[0]), Unsealed::Valid("one"));
-        assert_eq!(unseal(lines[1]), Unsealed::Valid("two"));
+        assert_eq!(unseal(lines[0]), Some("one"));
+        assert_eq!(unseal(lines[1]), Some("two"));
     }
 }

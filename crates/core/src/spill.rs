@@ -11,19 +11,18 @@
 //! {crc32:08x} c <kind> <cols> <base64(varint-columns)>
 //! ```
 //!
-//! Columns in one chunk may have *different* lengths — fold-state
-//! checkpoints exploit this to store heterogeneous vectors side by side.
-//! Corruption never produces a wrong number: a chunk whose seal or
-//! encoding is damaged is quarantined (counted, skipped), and a torn
-//! final line — the signature of a killed writer — is reported as a
-//! truncated tail rather than an error.
+//! Each column carries its own length, so columns in one chunk may
+//! differ in length. Corruption never produces a wrong number: a chunk
+//! whose seal or encoding is damaged is quarantined (counted, skipped),
+//! and a torn final line — the signature of a killed writer — is
+//! reported as a truncated tail rather than an error.
 //!
 //! [`ShardPlan`] carves the user-id space into contiguous ranges so that
 //! per-shard files, folded in shard order, replay events in globally
 //! ascending user order — the invariant the affinity analyses rely on.
 
 use crate::faults::{self, FaultKind};
-use crate::journal::{seal, unseal, LossyLines, Unsealed};
+use crate::journal::{seal, unseal, LossyLines};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -259,32 +258,6 @@ impl SpillWriter {
         })
     }
 
-    /// Opens `path` for appending (creating it if absent), preserving
-    /// existing chunks — the mode checkpoint logs use so a resumed merge
-    /// extends the history instead of erasing it. If the file ends in a
-    /// torn, newline-less line (killed writer), a newline is added first
-    /// so the next sealed chunk starts clean; the torn line then reads
-    /// as one quarantined/torn entry, never as part of a new chunk.
-    pub fn open_append(path: &Path) -> std::io::Result<SpillWriter> {
-        let needs_newline = match std::fs::read(path) {
-            Ok(bytes) => !bytes.is_empty() && bytes.last() != Some(&b'\n'),
-            Err(_) => false,
-        };
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        let mut writer = BufWriter::new(file);
-        if needs_newline {
-            writer.write_all(b"\n")?;
-        }
-        Ok(SpillWriter {
-            writer,
-            chunks: 0,
-            bytes: 0,
-        })
-    }
-
     /// Seals and appends one chunk. Returns the bytes appended.
     pub fn append(&mut self, kind: &str, columns: &[&[u64]]) -> std::io::Result<u64> {
         let index = self.chunks;
@@ -394,11 +367,7 @@ impl SpillReader {
                     return None;
                 }
             };
-            let decoded = match unseal(&line) {
-                Unsealed::Valid(payload) => decode_chunk(payload),
-                Unsealed::Mismatch | Unsealed::Bare(_) => None,
-            };
-            match decoded {
+            match unseal(&line).and_then(decode_chunk) {
                 Some(chunk) => {
                     self.health.chunks_read += 1;
                     return Some(chunk);

@@ -13,6 +13,7 @@ use crate::proxy::{ProxyPool, Region};
 use crate::server::MarketplaceServer;
 use crate::storage::{read_journal_lossy, JournalHealth, JournalWriter, Record, StorageError};
 use crate::wire::{Request, Response, WireError};
+use appstore_core::journal::heal_torn_tail;
 use appstore_core::{CommentEvent, DailySnapshot, Dataset, Day, Seed, UpdateEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -353,9 +354,10 @@ pub fn canonicalize(dataset: &mut Dataset) {
 /// On startup the journal is replayed with [`read_journal_lossy`]: the
 /// first day without a trusted `DayComplete` checkpoint
 /// ([`JournalHealth::trusted_days`]) is the resume point, quarantined
-/// lines are skipped, and a damaged or missing header starts the
-/// campaign over. Each crawl day uses a fresh client seeded by the
-/// day index (`seed.child_indexed("day", index)`), so a re-crawled day
+/// lines are skipped, a torn final line is ended before the first
+/// append, and a damaged or missing header starts the campaign over.
+/// Each crawl day uses a fresh client seeded by the day index
+/// (`seed.child_indexed("day", index)`), so a re-crawled day
 /// replays the exact request stream of the uninterrupted run and the
 /// deduplicating journal replay converges to the identical dataset — the
 /// core crash-consistency guarantee the recovery tests assert.
@@ -422,6 +424,9 @@ pub fn run_campaign_resumable(
         let Some(replayed) = replayed.as_ref() else {
             return Err(CampaignError::Storage(StorageError::MissingHeader));
         };
+        // A crash mid-append leaves a torn final line; end it, or the
+        // first record appended below is glued to it and lost with it.
+        heal_torn_tail(journal);
         let mut out = JournalWriter::resume(&mut *journal);
         // Re-flush registry entries lost to corruption or truncation;
         // replay dedup keeps exactly one copy of each.

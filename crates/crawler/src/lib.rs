@@ -51,7 +51,7 @@ pub use client::{backoff_delay_ms, CrawlerClient, FaultPlan};
 pub use proxy::{Proxy, ProxyHealth, ProxyPool, Region};
 pub use server::{MarketplaceServer, ServerPolicy};
 pub use storage::{
-    read_journal, read_journal_lossy, write_journal, Checkpoint, JournalHealth, JournalWriter,
-    LineFault, QuarantinedLine, Record, StorageError,
+    read_journal_lossy, write_journal, Checkpoint, JournalHealth, JournalWriter, LineFault,
+    QuarantinedLine, Record, StorageError,
 };
 pub use wire::{Request, Response, WireError};

@@ -12,24 +12,28 @@
 //!
 //! Robustness layers on top of the plain format:
 //!
-//! - every line is **sealed** with a CRC32 of its payload, so storage
-//!   corruption is detected rather than silently parsed;
-//! - [`read_journal_lossy`] never fails on damaged lines: it quarantines
-//!   them and reports a [`JournalHealth`] summary (records kept, lines
-//!   dropped, truncation point, last complete day);
+//! - every line is **sealed** with a CRC32 of its payload through
+//!   [`appstore_core::journal`], so storage corruption is detected
+//!   rather than silently parsed, and a line without a valid seal —
+//!   bare JSON included — is damage;
+//! - [`read_journal_lossy`], the one reader, never fails on damaged
+//!   lines: it quarantines them and reports a [`JournalHealth`] summary
+//!   (records kept, lines dropped, truncation point, checkpoints);
 //! - [`Record::DayComplete`] markers let a resumed campaign find the last
 //!   fully-flushed day and re-crawl only what is missing — replay
 //!   deduplicates records, so a partially-written day followed by its
 //!   re-crawl converges to the same dataset as an uninterrupted run;
 //! - [`JournalWriter`] appends sealed records incrementally (create or
-//!   resume), giving `run_campaign_resumable` its checkpoint stream.
+//!   resume), giving `run_campaign_resumable` its checkpoint stream; a
+//!   resumed campaign first ends a torn final line with
+//!   [`appstore_core::journal::heal_torn_tail`].
 
-use appstore_core::journal::{self, LossyLines, SealedWriter};
+use appstore_core::journal::{unseal, LossyLines, SealedWriter};
 use appstore_core::{
     App, CategorySet, CommentEvent, DailySnapshot, Dataset, Day, Developer, StoreMeta, UpdateEvent,
 };
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 
 /// One line of the journal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,11 +67,6 @@ const CHUNK: usize = 4096;
 pub enum StorageError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A line failed to parse as a record.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-    },
     /// The journal does not start with a header record.
     MissingHeader,
     /// A record could not be serialized for writing.
@@ -81,9 +80,6 @@ impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StorageError::Io(e) => write!(f, "journal I/O error: {e}"),
-            StorageError::Malformed { line } => {
-                write!(f, "malformed journal record at line {line}")
-            }
             StorageError::MissingHeader => write!(f, "journal missing header record"),
             StorageError::Serialize { detail } => {
                 write!(f, "journal record failed to serialize: {detail}")
@@ -109,9 +105,10 @@ pub use appstore_core::journal::crc32;
 /// Why a journal line was rejected.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LineFault {
-    /// The seal did not match the payload (bit rot, torn write).
+    /// The line carries no valid seal: the checksum disagrees with the
+    /// payload (bit rot, torn write), or the line is not sealed at all.
     ChecksumMismatch,
-    /// The payload (sealed or bare) was not a parseable record.
+    /// The sealed payload was not a parseable record.
     Unparseable,
 }
 
@@ -124,17 +121,10 @@ impl std::fmt::Display for LineFault {
     }
 }
 
-/// Parses one journal line, sealed (`crc32 json`) or bare legacy JSON.
+/// Parses one sealed journal line (`crc32 json`).
 fn parse_line(line: &str) -> Result<Record, LineFault> {
-    match journal::unseal(line) {
-        journal::Unsealed::Valid(payload) => {
-            serde_json::from_str::<Record>(payload).map_err(|_| LineFault::Unparseable)
-        }
-        journal::Unsealed::Mismatch => Err(LineFault::ChecksumMismatch),
-        journal::Unsealed::Bare(raw) => {
-            serde_json::from_str::<Record>(raw).map_err(|_| LineFault::Unparseable)
-        }
-    }
+    let payload = unseal(line).ok_or(LineFault::ChecksumMismatch)?;
+    serde_json::from_str::<Record>(payload).map_err(|_| LineFault::Unparseable)
 }
 
 // ---------------------------------------------------------------------------
@@ -213,38 +203,6 @@ pub fn write_journal<W: Write>(dataset: &Dataset, writer: W) -> Result<(), Stora
     }
     journal.append_chunked(&dataset.comments, Record::Comments)?;
     journal.append_chunked(&dataset.updates, Record::Updates)
-}
-
-/// Reads a journal back into a dataset.
-///
-/// Incomplete trailing lines (a crash mid-append) are tolerated: reading
-/// stops at the first malformed *final* line; a malformed line in the
-/// middle is an error. For corruption-tolerant loading use
-/// [`read_journal_lossy`].
-pub fn read_journal<R: Read>(reader: R) -> Result<Dataset, StorageError> {
-    let mut lines = BufReader::new(reader).lines();
-    let first = lines
-        .next()
-        .ok_or(StorageError::MissingHeader)?
-        .map_err(StorageError::from)?;
-    let Ok(Record::Header { store, categories }) = parse_line(&first) else {
-        return Err(StorageError::MissingHeader);
-    };
-    let mut replay = Replay::new(store, categories);
-    let mut pending_error: Option<usize> = None;
-    for (index, line) in lines.enumerate() {
-        let line = line?;
-        if let Some(line_no) = pending_error.take() {
-            // The malformed line was not final after all.
-            return Err(StorageError::Malformed { line: line_no });
-        }
-        match parse_line(&line) {
-            Ok(Record::Header { .. }) => return Err(StorageError::Malformed { line: index + 2 }),
-            Ok(record) => replay.absorb(record),
-            Err(_) => pending_error = Some(index + 2),
-        }
-    }
-    Ok(replay.dataset)
 }
 
 // ---------------------------------------------------------------------------
@@ -517,72 +475,96 @@ mod tests {
         let original = dataset();
         let mut buffer = Vec::new();
         write_journal(&original, &mut buffer).unwrap();
-        let restored = read_journal(buffer.as_slice()).unwrap();
+        let (restored, health) = read_journal_lossy(buffer.as_slice());
+        let restored = restored.unwrap();
         assert_eq!(restored, original);
         assert!(restored.validate().is_ok());
+        assert!(health.is_clean());
+        assert_eq!(health.records_kept, health.lines_total);
+        assert_eq!(health.records_deduplicated, 0);
     }
 
     #[test]
-    fn truncated_final_line_is_tolerated() {
+    fn truncated_final_line_is_a_quarantined_tail() {
         let original = dataset();
         let mut buffer = Vec::new();
         write_journal(&original, &mut buffer).unwrap();
+        let lines = buffer.iter().filter(|&&b| b == b'\n').count();
         // Chop the tail mid-record (simulating a crash during append).
         let cut = buffer.len() - 40;
-        let restored = read_journal(&buffer[..cut]).unwrap();
+        let (restored, health) = read_journal_lossy(&buffer[..cut]);
+        let restored = restored.unwrap();
+        assert!(health.truncated_tail);
+        assert_eq!(
+            health.quarantined,
+            [QuarantinedLine {
+                line: lines,
+                fault: LineFault::ChecksumMismatch,
+            }]
+        );
         // Everything before the damaged record survived.
         assert_eq!(restored.store, original.store);
         assert_eq!(restored.apps, original.apps);
-        assert!(restored.snapshots.len() >= original.snapshots.len() - 1);
+        assert_eq!(restored.snapshots, original.snapshots);
     }
 
     #[test]
-    fn malformed_middle_line_is_an_error() {
-        let original = dataset();
-        let mut buffer = Vec::new();
-        write_journal(&original, &mut buffer).unwrap();
-        let text = String::from_utf8(buffer).unwrap();
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines[2] = "{ this is not json";
-        let damaged = lines.join("\n");
-        match read_journal(damaged.as_bytes()) {
-            // The damaged record is the file's third line (1-based).
-            Err(StorageError::Malformed { line }) => assert_eq!(line, 3),
-            other => panic!("expected malformed error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn missing_or_wrong_header_is_rejected() {
-        assert!(matches!(
-            read_journal(std::io::empty()),
-            Err(StorageError::MissingHeader)
-        ));
+    fn missing_or_wrong_header_gives_no_dataset() {
+        let (restored, health) = read_journal_lossy(std::io::empty());
+        assert!(restored.is_none());
+        assert_eq!(health.lines_total, 0);
         let mut not_header = Vec::new();
         JournalWriter::resume(&mut not_header)
             .append(&Record::Apps(vec![]))
             .unwrap();
-        assert!(matches!(
-            read_journal(not_header.as_slice()),
-            Err(StorageError::MissingHeader)
-        ));
+        let (restored, health) = read_journal_lossy(not_header.as_slice());
+        assert!(restored.is_none());
+        assert_eq!(health.quarantined.len(), 1);
     }
 
     #[test]
-    fn duplicate_header_is_rejected() {
+    fn duplicate_header_is_quarantined_and_the_first_kept() {
         let original = dataset();
         let mut buffer = Vec::new();
         write_journal(&original, &mut buffer).unwrap();
-        let header_line = {
-            let text = String::from_utf8(buffer.clone()).unwrap();
-            text.lines().next().unwrap().to_string()
-        };
-        buffer.extend_from_slice(header_line.as_bytes());
+        let mut renamed = original.store.clone();
+        renamed.name.push_str("-copy");
+        JournalWriter::create(&mut buffer, &renamed, &original.categories).unwrap();
+        let (restored, health) = read_journal_lossy(buffer.as_slice());
+        assert_eq!(restored.unwrap(), original);
+        assert_eq!(
+            health.quarantined,
+            [QuarantinedLine {
+                line: health.lines_total,
+                fault: LineFault::Unparseable,
+            }]
+        );
+    }
+
+    #[test]
+    fn unsealed_record_line_is_quarantined_not_absorbed() {
+        let original = dataset();
+        let mut partial = original.clone();
+        let withheld = partial.snapshots.pop().unwrap();
+        let mut buffer = Vec::new();
+        write_journal(&partial, &mut buffer).unwrap();
+        // A well-formed record in bare JSON: everything but the seal.
+        let bare = serde_json::to_string(&Record::Snapshot(withheld)).unwrap();
+        buffer.extend_from_slice(bare.as_bytes());
         buffer.push(b'\n');
-        assert!(matches!(
-            read_journal(buffer.as_slice()),
-            Err(StorageError::Malformed { .. })
-        ));
+        JournalWriter::resume(&mut buffer)
+            .day_complete(Day(0))
+            .unwrap();
+        let (restored, health) = read_journal_lossy(buffer.as_slice());
+        assert_eq!(restored.unwrap(), partial);
+        assert_eq!(
+            health.quarantined,
+            [QuarantinedLine {
+                line: health.lines_total - 1,
+                fault: LineFault::ChecksumMismatch,
+            }]
+        );
+        assert!(!health.truncated_tail);
     }
 
     #[test]
@@ -615,18 +597,6 @@ mod tests {
         assert_eq!(health.quarantined.len(), 1);
         assert_eq!(health.quarantined[0].fault, LineFault::ChecksumMismatch);
         assert!(!health.is_clean());
-    }
-
-    #[test]
-    fn lossy_read_of_clean_journal_matches_strict() {
-        let original = dataset();
-        let mut buffer = Vec::new();
-        write_journal(&original, &mut buffer).unwrap();
-        let (restored, health) = read_journal_lossy(buffer.as_slice());
-        assert_eq!(restored.unwrap(), original);
-        assert!(health.is_clean());
-        assert_eq!(health.records_kept, health.lines_total);
-        assert_eq!(health.records_deduplicated, 0);
     }
 
     #[test]
@@ -747,11 +717,12 @@ mod file_tests {
             let file = std::fs::File::create(&path).unwrap();
             write_journal(&dataset, file).unwrap();
         }
-        let restored = {
+        let (restored, health) = {
             let file = std::fs::File::open(&path).unwrap();
-            read_journal(file).unwrap()
+            read_journal_lossy(file)
         };
         std::fs::remove_file(&path).ok();
-        assert_eq!(restored, dataset);
+        assert_eq!(restored.unwrap(), dataset);
+        assert!(health.is_clean());
     }
 }

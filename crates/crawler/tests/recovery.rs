@@ -184,3 +184,44 @@ fn journal_corrupted_between_runs_is_quarantined_and_recrawled() {
         assert_eq!(resumed.dataset, reference.dataset, "byte {damaged:#04x}");
     }
 }
+
+/// A kill mid-append leaves a torn final line. The resume must end that
+/// line before it appends, or its first record is glued to the fragment
+/// and quarantined with it.
+#[test]
+fn resume_after_a_torn_final_line_loses_no_record() {
+    let truth = ground_truth();
+    let server = server_for(&truth);
+    let run = |crashes: CampaignFaultPlan, journal: &mut Vec<u8>| {
+        run_campaign_resumable(
+            &server,
+            &truth,
+            &mut ProxyPool::planetlab(0, 20),
+            None,
+            FaultPlan::default(),
+            crashes,
+            Seed::new(42),
+            journal,
+        )
+    };
+    let reference = run(CampaignFaultPlan::NONE, &mut Vec::new()).unwrap();
+
+    let mut journal = Vec::new();
+    let crash_after_day_1 = CampaignFaultPlan {
+        crash_after_day: Some(1),
+        crash_mid_day: None,
+    };
+    let err = run(crash_after_day_1, &mut journal).unwrap_err();
+    assert!(matches!(err, CampaignError::Crashed { .. }));
+    // Append the first half of the last line, without its newline.
+    let body = &journal[..journal.len() - 1];
+    let last_start = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let torn = body[last_start..last_start + (body.len() - last_start) / 2].to_vec();
+    journal.extend_from_slice(&torn);
+
+    let resumed = run(CampaignFaultPlan::NONE, &mut journal).unwrap();
+    assert!(resumed.initial_health.truncated_tail);
+    assert_eq!(resumed.resumed_at, 2);
+    assert_eq!(resumed.dataset.snapshots.len(), truth.snapshots.len());
+    assert_eq!(resumed.dataset, reference.dataset);
+}

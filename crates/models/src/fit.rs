@@ -31,7 +31,7 @@ use crate::expectation::ScreeningCache;
 use crate::kernel;
 use crate::simulate::Simulator;
 use appstore_core::faults::{self, FaultKind};
-use appstore_core::journal::{seal, unseal, Unsealed};
+use appstore_core::journal::{heal_torn_tail, seal, unseal, LossyLines};
 use appstore_core::{effective_threads, par_map_indexed, Seed};
 use appstore_stats::mean_relative_error;
 use rand::Rng;
@@ -1053,25 +1053,15 @@ struct FitReplay {
 
 fn replay_fit_journal(journal: &[u8]) -> FitReplay {
     let mut replay = FitReplay::default();
-    let text = String::from_utf8_lossy(journal);
-    for line in text.lines() {
+    // Reading a byte slice cannot fail, so no line is lost here.
+    for (line, _) in LossyLines::new(journal).map_while(Result::ok) {
         if line.is_empty() {
             continue;
         }
-        let record = match unseal(line) {
-            Unsealed::Valid(payload) => match serde_json::from_str::<FitRecord>(payload) {
-                Ok(record) => record,
-                Err(_) => {
-                    replay.quarantined += 1;
-                    continue;
-                }
-            },
-            // Fit journals are always sealed: a bare line is damage, not
-            // a legacy format.
-            Unsealed::Mismatch | Unsealed::Bare(_) => {
-                replay.quarantined += 1;
-                continue;
-            }
+        let Some(record) = unseal(&line).and_then(|p| serde_json::from_str::<FitRecord>(p).ok())
+        else {
+            replay.quarantined += 1;
+            continue;
         };
         match record {
             FitRecord::Header { fingerprint } => {
@@ -1205,11 +1195,7 @@ impl Checkpoint for Journal<'_> {
         seed: Seed,
         grid_len: usize,
     ) -> Result<(), FitError> {
-        // Heal a torn tail (a partial write without newline) so fresh
-        // appends start on their own line; replay quarantines the fragment.
-        if self.lines.last().is_some_and(|&b| b != b'\n') {
-            self.lines.push(b'\n');
-        }
+        heal_torn_tail(self.lines);
         let fingerprint = fit_fingerprint(observed, spec, seed, grid_len);
         self.replay = replay_fit_journal(self.lines);
         appstore_obs::counter(

@@ -13,7 +13,7 @@
 use crate::recommender::Recommender;
 use appstore_core::{Day, DownloadEvent, UserId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The outcome of evaluating one recommender.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,7 +57,8 @@ pub fn evaluate(
     k: usize,
 ) -> Option<EvalReport> {
     recommender.train(train);
-    let mut future: HashMap<UserId, Vec<u32>> = HashMap::new();
+    // Users in id order, so the recall sum repeats exactly run to run.
+    let mut future: BTreeMap<UserId, Vec<u32>> = BTreeMap::new();
     for e in test {
         future.entry(e.user).or_default().push(e.app.0);
     }

@@ -39,8 +39,8 @@
 //!   and `GET /statusz` (queue depth, shed counters, virtual uptime)
 //!   served through the normal request path, so the server stays
 //!   scrapeable mid-replay;
-//! * **SLO burn-rate grading** ([`slo`]) — declarative availability and
-//!   p99 objectives evaluated over rolling virtual-time windows with
+//! * **SLO burn-rate grading** ([`slo`]) — fixed availability and p99
+//!   objectives evaluated over rolling virtual-time windows with
 //!   multi-window burn-rate alerting, so a chaos window trips a
 //!   fast-burn alert and provably recovers.
 //!
@@ -79,7 +79,7 @@ pub use queue::{Admission, AdmissionPolicy, BoundedQueue};
 pub use replay::{replay, ReplayConfig, ReplayStats, Workload};
 pub use replica::{fingerprint64, PageTable, Replica, ReplicaError, ReplicaState};
 pub use server::{with_server, ServeConfig, ServerHandle, TRACE_SAMPLE_EVERY};
-pub use slo::{SloMonitor, SloPolicy, SloSummary};
+pub use slo::{SloMonitor, SloSummary};
 pub use telemetry::{BreakerState, HealthState, StatusSnapshot};
 
 /// Fault-injection site: one roll per request at the handler boundary

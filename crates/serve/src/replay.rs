@@ -26,13 +26,13 @@
 //! [`ReplayConfig::trace_base`]) and `X-Parent-Span`, and completed
 //! requests emit a client-side span on the same per-trace track the
 //! server annotates — so one trace id stitches client, queue, edge,
-//! and backing on a single timeline. With [`ReplayConfig::slo`] set,
+//! and backing on a single timeline. With [`ReplayConfig::slo`] on,
 //! every completed request also feeds a [`SloMonitor`] grading
 //! availability and p99 objectives over rolling virtual-time windows.
 
 use crate::http::{decimal, read_response_into, HttpResponse, IO_BUFFER_BYTES};
 use crate::server::TRACE_SAMPLE_EVERY;
-use crate::slo::{SloMonitor, SloPolicy, SloSummary};
+use crate::slo::{SloMonitor, SloSummary};
 use appstore_core::backoff::{BackoffSchedule, RetryBudget};
 use appstore_core::{DownloadEvent, Seed};
 use appstore_obs::{names, LogLinearHistogram};
@@ -99,9 +99,9 @@ pub struct ReplayConfig {
     /// `trace_base + requests_sent`, so distinct replay phases get
     /// disjoint id ranges on one shared timeline).
     pub trace_base: u64,
-    /// Service-level objectives to grade this replay against (`None`
-    /// disables the monitor).
-    pub slo: Option<SloPolicy>,
+    /// Grade this replay against the service-level objectives of
+    /// [`crate::slo`] (`false` disables the monitor).
+    pub slo: bool,
 }
 
 impl ReplayConfig {
@@ -120,7 +120,7 @@ impl ReplayConfig {
             retry_budget_burst: 50,
             seed,
             trace_base: 0,
-            slo: None,
+            slo: false,
         }
     }
 }
@@ -384,7 +384,7 @@ pub fn replay(
     let schedule = BackoffSchedule::new(config.backoff_base_ms, config.seed.child("backoff"));
     let mut budget = RetryBudget::new(config.retry_budget_ratio, config.retry_budget_burst);
     let mut stats = ReplayStats::default();
-    let mut monitor = config.slo.clone().map(SloMonitor::new);
+    let mut monitor = config.slo.then(SloMonitor::new);
     let mut clock_ms = 0u64;
     // The request bytes, the response head and the batch ledgers are
     // reused for the whole replay.
@@ -644,7 +644,7 @@ mod tests {
         let events: Vec<(u32, u32)> = (0..30).map(|i| (i, i % 4)).collect();
         let workload = Workload::from_trace("clean", &trace(&events));
         let mut config = ReplayConfig::new(Seed::new(12));
-        config.slo = Some(SloPolicy::replay_default());
+        config.slo = true;
         let stats = with_server(&dataset, &serve_config(), |handle| {
             replay(handle.addr(), &workload, &config).unwrap()
         });

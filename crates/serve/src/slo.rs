@@ -1,21 +1,20 @@
-//! Declarative service-level objectives graded over rolling
+//! Fixed service-level objectives graded over rolling
 //! virtual-time windows, with multi-window burn-rate alerts.
 //!
-//! An [`SloPolicy`] states the objectives the replay client holds the
-//! serving layer to: an availability target (fraction of completed
+//! The objectives the replay client holds the serving layer to are
+//! constants: an availability target of 99.5% (fraction of completed
 //! requests that succeed, with *explicit sheds excluded* — a 503/504/429
 //! is the resilience machinery working, not an SLO violation) and a p99
-//! latency budget in virtual milliseconds. The [`SloMonitor`] consumes
+//! latency budget of 200 virtual milliseconds. The [`SloMonitor`] consumes
 //! every response the replay client reads, classified by status code,
 //! and evaluates the objectives over two rolling windows of the virtual
 //! clock:
 //!
-//! * the **fast window** (seconds) catches sharp error bursts — its
-//!   alert fires when the burn rate (error rate divided by the error
-//!   budget `1 - target`) exceeds a high threshold, and clears as soon
-//!   as the window drains back under it;
-//! * the **slow window** (tens of seconds) catches sustained low-grade
-//!   burn with a lower threshold.
+//! * the **fast window** (2 s) catches sharp error bursts — its alert
+//!   fires when the burn rate (error rate divided by the error budget
+//!   `1 - target`) reaches 10×, and clears as soon as the window drains
+//!   back under it;
+//! * the **slow window** (10 s) catches sustained low-grade burn at 2×.
 //!
 //! All arithmetic is integer (parts-per-million targets, centi-multiples
 //! for burn rates) on the deterministic virtual clock, so two replays of
@@ -30,50 +29,31 @@ use std::collections::VecDeque;
 /// a 1-sample "100% error rate".
 const MIN_WINDOW_SAMPLES: u64 = 10;
 
-/// The objectives and alert thresholds a replay grades against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SloPolicy {
-    /// Availability target in parts per million of completed requests
-    /// (sheds excluded), e.g. `995_000` for 99.5%.
-    pub availability_target_ppm: u64,
-    /// p99 virtual-latency budget (ms) for successfully served requests.
-    pub p99_budget_ms: u64,
-    /// Fast burn-rate window, in virtual ms.
-    pub fast_window_ms: u64,
-    /// Slow burn-rate window, in virtual ms.
-    pub slow_window_ms: u64,
-    /// Fast-window alert threshold in centi-multiples of the error
-    /// budget (1_000 = burning 10× the budget rate).
-    pub fast_burn_threshold_centi: u64,
-    /// Slow-window alert threshold in centi-multiples (200 = 2×).
-    pub slow_burn_threshold_centi: u64,
-    /// Evaluate the rolling p99 objective every this many virtual ms.
-    pub p99_check_every_ms: u64,
-}
+/// Availability target in parts per million of completed requests
+/// (sheds excluded): 99.5%.
+const AVAILABILITY_TARGET_PPM: u64 = 995_000;
 
-impl SloPolicy {
-    /// The objectives the serve-replay experiment grades: 99.5%
-    /// availability excluding sheds, p99 ≤ 200 virtual ms, a 2 s fast
-    /// window at 10× burn and a 10 s slow window at 2× burn.
-    pub fn replay_default() -> SloPolicy {
-        SloPolicy {
-            availability_target_ppm: 995_000,
-            p99_budget_ms: 200,
-            fast_window_ms: 2_000,
-            slow_window_ms: 10_000,
-            fast_burn_threshold_centi: 1_000,
-            slow_burn_threshold_centi: 200,
-            p99_check_every_ms: 500,
-        }
-    }
+/// The error budget implied by the availability target, in ppm.
+const BUDGET_PPM: u64 = 1_000_000 - AVAILABILITY_TARGET_PPM;
 
-    /// The error budget implied by the availability target, in ppm.
-    fn budget_ppm(&self) -> u64 {
-        1_000_000_u64
-            .saturating_sub(self.availability_target_ppm)
-            .max(1)
-    }
-}
+/// p99 virtual-latency budget (ms) for successfully served requests.
+const P99_BUDGET_MS: u64 = 200;
+
+/// Fast burn-rate window, in virtual ms.
+const FAST_WINDOW_MS: u64 = 2_000;
+
+/// Slow burn-rate window, in virtual ms.
+const SLOW_WINDOW_MS: u64 = 10_000;
+
+/// Fast-window alert threshold in centi-multiples of the error budget
+/// (1_000 = burning 10× the budget rate).
+const FAST_BURN_THRESHOLD_CENTI: u64 = 1_000;
+
+/// Slow-window alert threshold in centi-multiples (200 = 2×).
+const SLOW_BURN_THRESHOLD_CENTI: u64 = 200;
+
+/// Evaluate the rolling p99 objective every this many virtual ms.
+const P99_CHECK_EVERY_MS: u64 = 500;
 
 /// How a response counts against the availability objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,12 +169,11 @@ pub struct SloSummary {
     pub p99_max_ms: u64,
 }
 
-/// Evaluates an [`SloPolicy`] over a response stream on the virtual
+/// Evaluates the objectives over a response stream on the virtual
 /// clock. Feed it every response the replay client reads (including
 /// retries) via [`SloMonitor::observe`], then take the summary.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SloMonitor {
-    policy: SloPolicy,
     fast: Window,
     slow: Window,
     fast_active: bool,
@@ -205,19 +184,8 @@ pub struct SloMonitor {
 
 impl SloMonitor {
     /// A monitor with no history.
-    pub fn new(policy: SloPolicy) -> SloMonitor {
-        SloMonitor {
-            policy,
-            fast: Window::default(),
-            slow: Window::default(),
-            fast_active: false,
-            slow_active: false,
-            last_p99_check_ms: 0,
-            summary: SloSummary {
-                availability_ppm: 1_000_000,
-                ..SloSummary::default()
-            },
-        }
+    pub fn new() -> SloMonitor {
+        SloMonitor::default()
     }
 
     /// Records one response observed at virtual time `now_ms` and
@@ -230,24 +198,15 @@ impl SloMonitor {
             Outcome::Error => self.summary.errors += 1,
             Outcome::Shed => self.summary.sheds_excluded += 1,
         }
-        self.fast.push(
-            now_ms,
-            outcome,
-            latency_virtual_ms,
-            self.policy.fast_window_ms,
-        );
-        self.slow.push(
-            now_ms,
-            outcome,
-            latency_virtual_ms,
-            self.policy.slow_window_ms,
-        );
+        self.fast
+            .push(now_ms, outcome, latency_virtual_ms, FAST_WINDOW_MS);
+        self.slow
+            .push(now_ms, outcome, latency_virtual_ms, SLOW_WINDOW_MS);
 
-        let budget_ppm = self.policy.budget_ppm();
-        let fast_burn = self.fast.burn_centi(budget_ppm);
+        let fast_burn = self.fast.burn_centi(BUDGET_PPM);
         self.summary.max_burn_centi = self.summary.max_burn_centi.max(fast_burn);
-        let fast_now = self.fast.completed() >= MIN_WINDOW_SAMPLES
-            && fast_burn >= self.policy.fast_burn_threshold_centi;
+        let fast_now =
+            self.fast.completed() >= MIN_WINDOW_SAMPLES && fast_burn >= FAST_BURN_THRESHOLD_CENTI;
         match (self.fast_active, fast_now) {
             (false, true) => self.summary.fast_burn_fired += 1,
             (true, false) => self.summary.fast_burn_recovered += 1,
@@ -256,7 +215,7 @@ impl SloMonitor {
         self.fast_active = fast_now;
 
         let slow_now = self.slow.completed() >= MIN_WINDOW_SAMPLES
-            && self.slow.burn_centi(budget_ppm) >= self.policy.slow_burn_threshold_centi;
+            && self.slow.burn_centi(BUDGET_PPM) >= SLOW_BURN_THRESHOLD_CENTI;
         match (self.slow_active, slow_now) {
             (false, true) => self.summary.slow_burn_fired += 1,
             (true, false) => self.summary.slow_burn_recovered += 1,
@@ -264,12 +223,12 @@ impl SloMonitor {
         }
         self.slow_active = slow_now;
 
-        if now_ms >= self.last_p99_check_ms + self.policy.p99_check_every_ms {
+        if now_ms >= self.last_p99_check_ms + P99_CHECK_EVERY_MS {
             self.last_p99_check_ms = now_ms;
             if let Some(p99) = self.fast.p99_ms() {
                 self.summary.p99_checks += 1;
                 self.summary.p99_max_ms = self.summary.p99_max_ms.max(p99);
-                if p99 > self.policy.p99_budget_ms {
+                if p99 > P99_BUDGET_MS {
                     self.summary.p99_breaches += 1;
                 }
             }
@@ -306,13 +265,9 @@ impl SloMonitor {
 mod tests {
     use super::*;
 
-    fn policy() -> SloPolicy {
-        SloPolicy::replay_default()
-    }
-
     #[test]
     fn clean_stream_never_alerts_and_reports_full_availability() {
-        let mut monitor = SloMonitor::new(policy());
+        let mut monitor = SloMonitor::new();
         for i in 0..1_000u64 {
             monitor.observe(i * 5, 200, 5);
         }
@@ -328,7 +283,7 @@ mod tests {
 
     #[test]
     fn error_burst_trips_fast_burn_and_recovers_when_the_window_drains() {
-        let mut monitor = SloMonitor::new(policy());
+        let mut monitor = SloMonitor::new();
         let mut clock = 0u64;
         for _ in 0..400 {
             clock += 5;
@@ -357,7 +312,7 @@ mod tests {
 
     #[test]
     fn sheds_are_excluded_from_the_availability_objective() {
-        let mut monitor = SloMonitor::new(policy());
+        let mut monitor = SloMonitor::new();
         for i in 0..200u64 {
             // Alternating success and explicit shed: availability stays
             // perfect because sheds never enter the denominator.
@@ -374,7 +329,7 @@ mod tests {
 
     #[test]
     fn rolling_p99_objective_breaches_on_slow_windows() {
-        let mut monitor = SloMonitor::new(policy());
+        let mut monitor = SloMonitor::new();
         let mut clock = 0u64;
         for _ in 0..200 {
             clock += 5;
@@ -387,7 +342,7 @@ mod tests {
 
     #[test]
     fn a_lone_error_cannot_fire_from_a_thin_window() {
-        let mut monitor = SloMonitor::new(policy());
+        let mut monitor = SloMonitor::new();
         monitor.observe(5, 500, 5);
         assert!(
             !monitor.fast_burn_active(),
@@ -400,7 +355,7 @@ mod tests {
 
     #[test]
     fn finish_counts_a_still_raised_alert_as_recovered() {
-        let mut monitor = SloMonitor::new(policy());
+        let mut monitor = SloMonitor::new();
         let mut clock = 0u64;
         for _ in 0..50 {
             clock += 5;
@@ -419,7 +374,7 @@ mod tests {
     #[test]
     fn summaries_are_deterministic() {
         let run = || {
-            let mut monitor = SloMonitor::new(policy());
+            let mut monitor = SloMonitor::new();
             for i in 0..500u64 {
                 let status = match i % 97 {
                     0 => 502,

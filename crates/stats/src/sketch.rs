@@ -261,33 +261,6 @@ impl SpaceSaving {
             .unwrap_or(0)
     }
 
-    /// Full state as `(entries, total)`, entries sorted by key as
-    /// `(key, estimate, overcount)` — the checkpoint form a resumable
-    /// fold writes to disk. [`SpaceSaving::restore`] inverts it exactly.
-    pub fn snapshot(&self) -> (Vec<(u64, u64, u64)>, u64) {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(&key, &(count, over))| (key, count, over))
-            .collect();
-        (entries, self.total)
-    }
-
-    /// Rebuilds a summary from a [`SpaceSaving::snapshot`]. Entries past
-    /// `capacity` are ignored (a snapshot from a larger summary keeps
-    /// its largest estimates).
-    pub fn restore(capacity: usize, entries: &[(u64, u64, u64)], total: u64) -> SpaceSaving {
-        let mut summary = SpaceSaving::new(capacity);
-        let mut sorted: Vec<(u64, u64, u64)> = entries.to_vec();
-        sorted.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        sorted.truncate(summary.capacity);
-        for (key, count, over) in sorted {
-            summary.entries.insert(key, (count, over));
-        }
-        summary.total = total;
-        summary
-    }
-
     /// The top `k` keys as `(key, estimate, overcount)`, sorted by
     /// estimate descending then key ascending. `estimate` never
     /// undercounts; `estimate - overcount` never overcounts.
