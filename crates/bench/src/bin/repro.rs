@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro [--scale N] [--seed S] [--threads T] [--json DIR]
-//!       [--metrics FILE] [--no-timings] [--progress] <experiment>...
+//!       [--metrics FILE] [--no-timings] <experiment>...
 //! repro all                 # every table/figure + ablations
 //! repro list                # print the experiment ids
 //! repro fig3 fig19          # a subset
@@ -34,9 +34,7 @@
 //! `fig8`) run in this mode — `all` narrows to exactly that set — and
 //! their stdout is byte-identical to the in-memory path. Peak RSS is
 //! reported on stderr; with `--mem-cap-mb` the run exits 3 (after
-//! writing every output) if the peak exceeded the cap. `--progress`
-//! adds a per-shard heartbeat on stderr (rows/s, spill bytes read,
-//! quarantine count) so long streaming folds are observably alive.
+//! writing every output) if the peak exceeded the cap.
 //!
 //! `repro report --flight FILE` additionally dumps every non-PASS row
 //! of a failed grade as a flight-recorder event stream, for CI
@@ -65,7 +63,6 @@ struct Args {
     trace_folded_path: Option<String>,
     trace_folded_wall_path: Option<String>,
     streaming: bool,
-    progress: bool,
     shards: usize,
     spill_dir: Option<String>,
     mem_cap_mb: Option<u64>,
@@ -84,7 +81,6 @@ fn parse_args() -> Result<Args, String> {
         trace_folded_path: None,
         trace_folded_wall_path: None,
         streaming: false,
-        progress: false,
         shards: 4,
         spill_dir: None,
         mem_cap_mb: None,
@@ -131,9 +127,6 @@ fn parse_args() -> Result<Args, String> {
             "--streaming" => {
                 args.streaming = true;
             }
-            "--progress" => {
-                args.progress = true;
-            }
             "--shards" => {
                 let v = iter.next().ok_or("--shards needs a value")?;
                 args.shards = v.parse().map_err(|_| format!("bad shard count: {v}"))?;
@@ -152,7 +145,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: repro [--scale N] [--seed S] [--threads T] [--json DIR] \
                      [--metrics FILE] [--no-timings] [--trace FILE] [--trace-folded FILE] \
-                     [--trace-folded-wall FILE] [--streaming] [--progress] [--shards N] \
+                     [--trace-folded-wall FILE] [--streaming] [--shards N] \
                      [--spill-dir DIR] [--mem-cap-mb MB] <experiment>|all|list\n\
                      \x20      repro report [--results DIR] [--metrics FILE] [--md FILE] \
                      [--flight FILE]"
@@ -323,9 +316,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-
-    // Heartbeat lines go to stderr only; stdout stays byte-identical.
-    bench::set_progress(args.progress);
 
     if args.experiments == ["list"] {
         for id in EXPERIMENT_IDS {

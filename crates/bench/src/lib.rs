@@ -4,8 +4,8 @@
 //! in [`experiments`], registered once in the [`EXPERIMENTS`] table with
 //! its id, title, optional out-of-core fold and required JSON keys. The
 //! `repro` binary looks ids up in that table and prints the regenerated
-//! rows/series. The one criterion bench, `benches/model_fit.rs`,
-//! measures the model-fitting kernels behind Figs. 8–10.
+//! rows/series. Its speed is measured from outside, by `perfbench`
+//! and `scripts/ab.sh`.
 //!
 //! The harness works on the four calibrated synthetic stores from
 //! `appstore-synth` (optionally scaled down with `--scale` for quick
@@ -25,4 +25,4 @@ pub use experiments::{
     ExperimentResult, EXPERIMENTS, EXPERIMENT_IDS,
 };
 pub use stores::{StoreBundle, Stores};
-pub use streaming::{fold_comments, fold_downloads, set_progress, StreamingStores};
+pub use streaming::{fold_comments, fold_downloads, StreamingStores};

@@ -39,45 +39,6 @@ use appstore_synth::{spill_generate, StoreProfile, StoreSpill};
 use serde_json::json;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
-
-/// Whether streaming folds emit the `--progress` stderr heartbeat.
-static PROGRESS: AtomicBool = AtomicBool::new(false);
-
-/// Enables (or disables) the per-shard progress heartbeat on stderr.
-/// Heartbeat lines carry wall-clock rates and never touch stdout, so
-/// the printed tables stay byte-identical either way.
-pub fn set_progress(enabled: bool) {
-    PROGRESS.store(enabled, Ordering::Relaxed);
-}
-
-/// One per-shard heartbeat line: cumulative rows, wall-clock rate,
-/// spill bytes read so far, and quarantined chunk count.
-fn heartbeat(
-    stage: &str,
-    shard: usize,
-    shards: usize,
-    rows: u64,
-    started: Instant,
-    bytes_read: u64,
-    quarantined: u64,
-) {
-    if !PROGRESS.load(Ordering::Relaxed) {
-        return;
-    }
-    let secs = started.elapsed().as_secs_f64().max(1e-9);
-    eprintln!(
-        "progress: {stage} shard {shard}/{shards}: {rows} rows, {:.0} rows/s, \
-         {bytes_read} spill bytes read, {quarantined} quarantined",
-        rows as f64 / secs
-    );
-}
-
-/// Size of a spill file on disk, for heartbeat accounting only.
-fn file_bytes(path: &Path) -> u64 {
-    std::fs::metadata(path).map_or(0, |m| m.len())
-}
 
 /// Tracked keys in the per-store heavy-hitter summary.
 const HEAVY_CAPACITY: usize = 64;
@@ -180,9 +141,7 @@ fn fold_downloads_inner(spill: &StoreSpill) -> io::Result<DownloadFold> {
     let mut rows = 0u64;
     let mut quarantined = 0u64;
     let mut torn_tails = 0u64;
-    let started = Instant::now();
-    let mut bytes_read = 0u64;
-    for (shard, path) in spill.shard_downloads.iter().enumerate() {
+    for path in &spill.shard_downloads {
         let health = fold_spill_file(path, |kind, cols| {
             if kind != KIND_DOWNLOAD || cols.len() != 3 {
                 return;
@@ -197,16 +156,6 @@ fn fold_downloads_inner(spill: &StoreSpill) -> io::Result<DownloadFold> {
         })?;
         quarantined += health.quarantined;
         torn_tails += u64::from(health.torn_tail);
-        bytes_read += file_bytes(path);
-        heartbeat(
-            "download-fold",
-            shard + 1,
-            spill.shard_downloads.len(),
-            rows,
-            started,
-            bytes_read,
-            quarantined,
-        );
     }
     let mut paid_counts = vec![0u64; apps];
     let health = fold_spill_file(&spill.paid_downloads, |kind, cols| {
@@ -258,10 +207,7 @@ fn fold_comments_inner(spill: &StoreSpill) -> io::Result<CommentFold> {
     let mut comment_quantiles = QuantileSketch::new(QUANTILE_K);
     let mut quarantined = 0u64;
     let mut torn_tails = 0u64;
-    let started = Instant::now();
-    let mut bytes_read = 0u64;
-    let mut rows = 0u64;
-    for (shard, path) in spill.shard_comments.iter().enumerate() {
+    for path in &spill.shard_comments {
         let mut events: Vec<CommentEvent> = Vec::new();
         let health = fold_spill_file(path, |kind, cols| {
             if kind != KIND_COMMENT || cols.len() != 5 {
@@ -285,17 +231,6 @@ fn fold_comments_inner(spill: &StoreSpill) -> io::Result<CommentFold> {
         })?;
         quarantined += health.quarantined;
         torn_tails += u64::from(health.torn_tail);
-        rows += events.len() as u64;
-        bytes_read += file_bytes(path);
-        heartbeat(
-            "comment-fold",
-            shard + 1,
-            spill.shard_comments.len(),
-            rows,
-            started,
-            bytes_read,
-            quarantined,
-        );
         let streams = build_user_streams(&events, |a| {
             CategoryId(spill.app_category.get(a.index()).copied().unwrap_or(0))
         });

@@ -12,9 +12,8 @@
 //!   each stage of handler work charges against; an exhausted budget
 //!   turns into a 504 instead of a stalled socket;
 //! * **bounded admission** ([`queue`]) — connections enter a bounded
-//!   work queue with a seeded admission policy; past the high watermark
-//!   the server sheds with an explicit `503 Retry-After` instead of
-//!   letting latency grow without bound;
+//!   work queue; when it is full the server sheds with an explicit
+//!   `503 Retry-After` instead of letting latency grow without bound;
 //! * **a replicated backing tier** ([`balancer`], [`replica`],
 //!   [`hedge`]) — misses go to one of N deterministic
 //!   [`appstore_crawler::MarketplaceServer`] replicas (reusing their
@@ -75,7 +74,7 @@ pub use deadline::Deadline;
 pub use edge::{EdgeCache, RankingsView};
 pub use hedge::HedgePolicy;
 pub use http::{HttpRequest, HttpResponse};
-pub use queue::{Admission, AdmissionPolicy, BoundedQueue};
+pub use queue::BoundedQueue;
 pub use replay::{replay, ReplayConfig, ReplayStats, Workload};
 pub use replica::{fingerprint64, PageTable, Replica, ReplicaError, ReplicaState};
 pub use server::{with_server, ServeConfig, ServerHandle, TRACE_SAMPLE_EVERY};

@@ -1,106 +1,38 @@
-//! The bounded accept/work queue with seeded admission control.
+//! The bounded accept/work queue.
 //!
 //! Connections accepted off the listener do not go straight to a
-//! worker; they enter a [`BoundedQueue`] whose [`AdmissionPolicy`]
-//! decides, per arrival, whether to admit or shed. Below the high
-//! watermark everything is admitted; between the watermark and
-//! capacity a seeded coin decides (probabilistic early shedding keeps
-//! the queue from camping at its limit); at capacity the queue sheds
-//! unconditionally. Shed decisions are a pure function of the arrival
-//! index, the queue depth at arrival, and the seed — a fixed seed and
-//! arrival sequence replays the same decisions exactly.
+//! worker; they enter a [`BoundedQueue`]. Below capacity every arrival
+//! is admitted; at capacity, or once the queue is closed, the arrival
+//! is shed and handed back to the caller, who owns the explicit 503.
 //!
 //! Admitted items leave in FIFO order; shedding never reorders or
 //! drops an admitted item.
 
-use appstore_core::Seed;
-use rand::Rng;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// When to admit and when to shed.
-#[derive(Debug, Clone)]
-pub struct AdmissionPolicy {
-    /// Hard queue bound; arrivals at this depth always shed.
-    pub capacity: usize,
-    /// Depth at which probabilistic shedding starts.
-    pub high_watermark: usize,
-    /// Shed probability applied between the watermark and capacity.
-    pub shed_probability: f64,
-    /// Seed for the per-arrival shed coin.
-    pub seed: Seed,
-}
-
-impl AdmissionPolicy {
-    /// A permissive policy for tests: large queue, no early shedding.
-    pub fn generous(seed: Seed) -> AdmissionPolicy {
-        AdmissionPolicy {
-            capacity: 1_024,
-            high_watermark: 1_024,
-            shed_probability: 0.0,
-            seed,
-        }
-    }
-
-    /// The shed decision for arrival `index` finding `depth` items
-    /// queued. Pure and deterministic: the coin is re-derivable from
-    /// `(seed, index)` alone.
-    pub fn decide(&self, index: u64, depth: usize) -> Admission {
-        if depth >= self.capacity {
-            return Admission::ShedFull;
-        }
-        if depth >= self.high_watermark && self.shed_probability > 0.0 {
-            let mut rng = self.seed.child_indexed("shed", index).rng();
-            if rng.gen::<f64>() < self.shed_probability {
-                return Admission::ShedPressure;
-            }
-        }
-        Admission::Admitted
-    }
-}
-
-/// The outcome of offering one item to the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// The item was enqueued.
-    Admitted,
-    /// Shed: the queue was at capacity.
-    ShedFull,
-    /// Shed: over the high watermark and the seeded coin said shed.
-    ShedPressure,
-}
-
-impl Admission {
-    /// True when the item was enqueued.
-    pub fn admitted(self) -> bool {
-        self == Admission::Admitted
-    }
-}
-
 struct Inner<T> {
     items: VecDeque<T>,
-    arrivals: u64,
     closed: bool,
 }
 
-/// A blocking MPMC queue bounded by an [`AdmissionPolicy`].
+/// A blocking MPMC queue that holds at most `capacity` items.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     ready: Condvar,
-    policy: AdmissionPolicy,
+    capacity: usize,
 }
 
 impl<T> BoundedQueue<T> {
-    /// Creates an empty queue governed by `policy`.
-    pub fn new(policy: AdmissionPolicy) -> BoundedQueue<T> {
+    /// Creates an empty queue that holds at most `capacity` items.
+    pub fn new(capacity: usize) -> BoundedQueue<T> {
         BoundedQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
-                arrivals: 0,
                 closed: false,
             }),
             ready: Condvar::new(),
-            policy,
+            capacity,
         }
     }
 
@@ -113,25 +45,17 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Offers one item. On a shed outcome the item is returned to the
-    /// caller (who owns the explicit 503 response); a closed queue
-    /// sheds as if full.
-    pub fn push(&self, item: T) -> (Admission, Option<T>) {
+    /// Offers one item. `None` means it was enqueued; a shed item (the
+    /// queue was full or closed) comes back as `Some` to the caller.
+    pub fn push(&self, item: T) -> Option<T> {
         let mut inner = self.state();
-        let index = inner.arrivals;
-        inner.arrivals += 1;
-        if inner.closed {
-            return (Admission::ShedFull, Some(item));
+        if inner.closed || inner.items.len() >= self.capacity {
+            return Some(item);
         }
-        let decision = self.policy.decide(index, inner.items.len());
-        if decision.admitted() {
-            inner.items.push_back(item);
-            drop(inner);
-            self.ready.notify_one();
-            (Admission::Admitted, None)
-        } else {
-            (decision, Some(item))
-        }
+        inner.items.push_back(item);
+        drop(inner);
+        self.ready.notify_one();
+        None
     }
 
     /// Blocks until an item is available (FIFO) or the queue is closed
@@ -176,35 +100,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn pressured(capacity: usize, high_watermark: usize, seed: u64) -> AdmissionPolicy {
-        AdmissionPolicy {
-            capacity,
-            high_watermark,
-            shed_probability: 0.5,
-            seed: Seed::new(seed),
-        }
-    }
-
     #[test]
     fn admits_then_sheds_at_capacity() {
-        let queue = BoundedQueue::new(pressured(3, 3, 1));
+        let queue = BoundedQueue::new(3);
         for i in 0..3 {
-            assert!(queue.push(i).0.admitted(), "below capacity admits");
+            assert_eq!(queue.push(i), None, "below capacity admits");
         }
-        let (decision, returned) = queue.push(99);
-        assert_eq!(decision, Admission::ShedFull);
-        assert_eq!(returned, Some(99), "shed items come back to the caller");
+        assert_eq!(
+            queue.push(99),
+            Some(99),
+            "shed items come back to the caller"
+        );
         assert_eq!(queue.len(), 3);
     }
 
     #[test]
     fn close_wakes_poppers_and_sheds_new_offers() {
-        let queue = BoundedQueue::new(pressured(8, 8, 2));
-        assert!(queue.push(1).0.admitted());
+        let queue = BoundedQueue::new(8);
+        assert_eq!(queue.push(1), None);
         queue.close();
         assert_eq!(queue.pop(), Some(1), "queued items still drain");
         assert_eq!(queue.pop(), None, "then shutdown");
-        assert_eq!(queue.push(2).0, Admission::ShedFull);
+        assert_eq!(queue.push(2), Some(2));
     }
 
     proptest! {
@@ -214,9 +131,8 @@ mod tests {
         fn never_exceeds_capacity(
             capacity in 1usize..16,
             ops in proptest::collection::vec(any::<bool>(), 0..200),
-            seed in 0u64..100,
         ) {
-            let queue = BoundedQueue::new(pressured(capacity, capacity / 2, seed));
+            let queue = BoundedQueue::new(capacity);
             let mut next = 0u32;
             for is_push in ops {
                 if is_push {
@@ -229,35 +145,17 @@ mod tests {
             }
         }
 
-        /// Shed decisions replay exactly under a fixed seed: the same
-        /// arrival sequence against the same policy makes the same
-        /// choices, and a different seed eventually diverges.
-        #[test]
-        fn shed_decisions_are_seed_deterministic(
-            seed in 0u64..1_000,
-            arrivals in 1usize..200,
-        ) {
-            let policy_a = pressured(64, 0, seed);
-            let policy_b = pressured(64, 0, seed);
-            let decisions_a: Vec<Admission> =
-                (0..arrivals as u64).map(|i| policy_a.decide(i, 1)).collect();
-            let decisions_b: Vec<Admission> =
-                (0..arrivals as u64).map(|i| policy_b.decide(i, 1)).collect();
-            prop_assert_eq!(&decisions_a, &decisions_b);
-        }
-
         /// FIFO holds for admitted items: whatever was shed, the items
         /// that did get in come out in exactly their arrival order.
         #[test]
         fn fifo_preserved_for_admitted(
             capacity in 1usize..12,
             pushes in 1usize..100,
-            seed in 0u64..100,
         ) {
-            let queue = BoundedQueue::new(pressured(capacity, capacity / 2, seed));
+            let queue = BoundedQueue::new(capacity);
             let mut admitted = Vec::new();
             for i in 0..pushes as u32 {
-                if queue.push(i).0.admitted() {
+                if queue.push(i).is_none() {
                     admitted.push(i);
                 }
                 // Drain a little mid-stream to vary the depths (pop
@@ -271,17 +169,5 @@ mod tests {
                 prop_assert_eq!(queue.pop(), Some(expect));
             }
         }
-    }
-
-    #[test]
-    fn pressure_sheds_are_index_keyed() {
-        // With a 50% coin over the watermark, some arrivals shed and
-        // some do not — and the pattern is a function of the index.
-        let policy = pressured(64, 0, 7);
-        let pattern: Vec<bool> = (0..64).map(|i| policy.decide(i, 1).admitted()).collect();
-        assert!(pattern.iter().any(|&b| b), "some admitted");
-        assert!(pattern.iter().any(|&b| !b), "some shed");
-        let replay: Vec<bool> = (0..64).map(|i| policy.decide(i, 1).admitted()).collect();
-        assert_eq!(pattern, replay);
     }
 }

@@ -43,7 +43,7 @@ use crate::deadline::Deadline;
 use crate::edge::{EdgeCache, RankingsView};
 use crate::hedge::HedgePolicy;
 use crate::http::{read_request_into, HttpRequest, HttpResponse, IO_BUFFER_BYTES};
-use crate::queue::{AdmissionPolicy, BoundedQueue};
+use crate::queue::BoundedQueue;
 use crate::telemetry::{self, HealthState, StatusSnapshot};
 use crate::SITE_SERVE_HANDLER;
 use appstore_core::faults::{self, FaultKind};
@@ -71,13 +71,14 @@ pub const EDGE_CLIENT_ADDR: u32 = u32::MAX;
 /// the arrival order, so the traced set is thread-count invariant.
 pub const TRACE_SAMPLE_EVERY: u64 = 500;
 
+/// Connections the accept queue holds before it sheds with a 503.
+const QUEUE_CAPACITY: usize = 1_024;
+
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads handling connections.
     pub workers: usize,
-    /// Accept-queue admission policy.
-    pub admission: AdmissionPolicy,
     /// Default per-request deadline budget (virtual ms) when the
     /// client does not propagate one via `X-Deadline-Ms`.
     pub deadline_ms: u64,
@@ -112,11 +113,10 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A deterministic default sized for tests and the replay
-    /// experiment: 2 workers, generous queue, generous backing limits.
+    /// experiment: 2 workers, generous backing limits.
     pub fn replay_default(seed: Seed) -> ServeConfig {
         ServeConfig {
             workers: 2,
-            admission: AdmissionPolicy::generous(seed.child("admission")),
             deadline_ms: 1_000,
             handler_cost_ms: 1,
             download_cost_ms: 5,
@@ -836,7 +836,7 @@ pub fn with_server<R>(
     config: &ServeConfig,
     f: impl FnOnce(&ServerHandle) -> R,
 ) -> R {
-    let queue: Arc<BoundedQueue<TcpStream>> = Arc::new(BoundedQueue::new(config.admission.clone()));
+    let queue: Arc<BoundedQueue<TcpStream>> = Arc::new(BoundedQueue::new(QUEUE_CAPACITY));
     let shared = Shared::new(dataset, config.clone(), Arc::clone(&queue));
     let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
@@ -878,8 +878,7 @@ pub fn with_server<R>(
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    let (_, rejected) = queue.push(stream);
-                    if let Some(rejected) = rejected {
+                    if let Some(rejected) = queue.push(stream) {
                         // Explicit load shed at the front door: the
                         // client gets told to back off, not a hang.
                         appstore_obs::counter(names::SERVE_SHEDS_QUEUE, 1);

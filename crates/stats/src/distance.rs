@@ -1,10 +1,7 @@
 //! Model-vs-data distances.
 //!
 //! The paper scores a simulated popularity curve against the measured one
-//! with the mean relative error of per-rank downloads (Eq. 6). Two
-//! companions are provided: an RMSE in log space (less dominated by the
-//! tail's small denominators) and a Kolmogorov–Smirnov distance between
-//! the implied rank distributions.
+//! with the mean relative error of per-rank downloads (Eq. 6).
 
 /// Mean relative error between observed and simulated per-rank counts
 /// (the paper's Eq. 6): `(1/A) Σ |Do(i) − Ds(i)| / Do(i)`.
@@ -34,50 +31,6 @@ pub fn mean_relative_error(observed: &[u64], simulated: &[u64]) -> Option<f64> {
     }
 }
 
-/// Root-mean-square error between `ln(1 + observed)` and
-/// `ln(1 + simulated)` per rank.
-///
-/// Returns `None` if lengths differ or input is empty.
-pub fn log_rmse(observed: &[u64], simulated: &[u64]) -> Option<f64> {
-    if observed.len() != simulated.len() || observed.is_empty() {
-        return None;
-    }
-    let ss: f64 = observed
-        .iter()
-        .zip(simulated)
-        .map(|(&o, &s)| {
-            let d = (1.0 + o as f64).ln() - (1.0 + s as f64).ln();
-            d * d
-        })
-        .sum();
-    Some((ss / observed.len() as f64).sqrt())
-}
-
-/// Kolmogorov–Smirnov distance between the two normalized cumulative
-/// rank-mass curves: `max_k |ΣO(1..k)/ΣO − ΣS(1..k)/ΣS|`.
-///
-/// Returns `None` if lengths differ, input is empty, or either total is 0.
-pub fn ks_distance_ranked(observed: &[u64], simulated: &[u64]) -> Option<f64> {
-    if observed.len() != simulated.len() || observed.is_empty() {
-        return None;
-    }
-    let to: u64 = observed.iter().sum();
-    let ts: u64 = simulated.iter().sum();
-    if to == 0 || ts == 0 {
-        return None;
-    }
-    let mut co = 0u64;
-    let mut cs = 0u64;
-    let mut worst = 0.0f64;
-    for (&o, &s) in observed.iter().zip(simulated) {
-        co += o;
-        cs += s;
-        let d = (co as f64 / to as f64 - cs as f64 / ts as f64).abs();
-        worst = worst.max(d);
-    }
-    Some(worst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,8 +40,6 @@ mod tests {
     fn identical_curves_have_zero_distance() {
         let xs = [100, 50, 25, 12];
         assert_eq!(mean_relative_error(&xs, &xs), Some(0.0));
-        assert_eq!(log_rmse(&xs, &xs), Some(0.0));
-        assert_eq!(ks_distance_ranked(&xs, &xs), Some(0.0));
     }
 
     #[test]
@@ -107,14 +58,6 @@ mod tests {
     #[test]
     fn length_mismatch_rejected() {
         assert_eq!(mean_relative_error(&[1, 2], &[1]), None);
-        assert_eq!(log_rmse(&[1], &[1, 2]), None);
-        assert_eq!(ks_distance_ranked(&[], &[]), None);
-    }
-
-    #[test]
-    fn ks_known_value() {
-        // observed mass (0.5, 0.5); simulated mass (1.0, 0.0): max gap 0.5.
-        assert_eq!(ks_distance_ranked(&[1, 1], &[2, 0]), Some(0.5));
     }
 
     #[test]
@@ -126,18 +69,9 @@ mod tests {
             mean_relative_error(&observed, &close).unwrap()
                 < mean_relative_error(&observed, &far).unwrap()
         );
-        assert!(log_rmse(&observed, &close).unwrap() < log_rmse(&observed, &far).unwrap());
     }
 
     proptest! {
-        #[test]
-        fn ks_bounded(pairs in proptest::collection::vec((1u64..1000, 1u64..1000), 1..100)) {
-            let o: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-            let s: Vec<u64> = pairs.iter().map(|p| p.1).collect();
-            let d = ks_distance_ranked(&o, &s).unwrap();
-            prop_assert!((0.0..=1.0).contains(&d));
-        }
-
         #[test]
         fn mre_nonnegative(pairs in proptest::collection::vec((1u64..1000, 0u64..1000), 1..100)) {
             let o: Vec<u64> = pairs.iter().map(|p| p.0).collect();

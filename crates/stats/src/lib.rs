@@ -13,9 +13,9 @@
 //!   squares and discrete maximum likelihood), generalized harmonic
 //!   numbers;
 //! * [`histogram`] — linear binning with per-bin value sums;
-//! * [`pareto`] — top-share curves, Lorenz curve, Gini coefficient;
-//! * [`distance`] — model-vs-data distances, including the paper's
-//!   Eq. 6 mean relative error;
+//! * [`pareto`] — top-share curves, Gini coefficient;
+//! * [`distance`] — the paper's Eq. 6 mean relative error between a
+//!   model's and the data's popularity curves;
 //! * [`bootstrap`] — nonparametric bootstrap confidence intervals;
 //! * [`chisq`] — Pearson chi-squared goodness-of-fit with p-values;
 //! * [`sketch`] — mergeable streaming sketches (KLL-style quantiles,
@@ -46,12 +46,12 @@ pub mod summary;
 pub use bootstrap::{bootstrap_ci, BootstrapInterval};
 pub use chisq::{chi_squared_gof, chi_squared_survival, ChiSquared};
 pub use corr::{pearson, spearman};
-pub use distance::{ks_distance_ranked, log_rmse, mean_relative_error};
+pub use distance::mean_relative_error;
 pub use ecdf::Ecdf;
 pub use histogram::{Histogram, HistogramBin};
 pub use kstest::{ks_two_sample, KsTest};
 pub use multifit::{ols2, powerlaw_cutoff_fit, CutoffFit, Ols2Fit};
-pub use pareto::{gini, lorenz_curve, top_share, top_share_curve};
+pub use pareto::{gini, top_share, top_share_curve};
 pub use powerlaw::{
     generalized_harmonic, zipf_fit_loglog, zipf_fit_mle, zipf_fit_trunk, zipf_pmf, PowerLawFit,
 };

@@ -1,4 +1,4 @@
-//! Concentration measures: top-shares, Lorenz curves, Gini.
+//! Concentration measures: top-shares and Gini.
 //!
 //! The paper's first result (Fig. 2) is a Pareto statement — "10% of the
 //! apps account for 70–90% of the downloads" — and its income analysis
@@ -55,29 +55,6 @@ pub fn top_share_curve(counts: &[u64], points: usize) -> Vec<(f64, f64)> {
             (x, prefix[k - 1] as f64 / total as f64)
         })
         .collect()
-}
-
-/// The Lorenz curve: `(population fraction, mass fraction)` points with
-/// items sorted *ascending* (poorest first), prefixed by the origin.
-pub fn lorenz_curve(counts: &[u64]) -> Vec<(f64, f64)> {
-    if counts.is_empty() {
-        return Vec::new();
-    }
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut sorted = counts.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len() as f64;
-    let mut out = Vec::with_capacity(sorted.len() + 1);
-    out.push((0.0, 0.0));
-    let mut acc = 0u64;
-    for (i, &c) in sorted.iter().enumerate() {
-        acc += c;
-        out.push(((i + 1) as f64 / n, acc as f64 / total as f64));
-    }
-    out
 }
 
 /// Gini coefficient of a count vector (0 = equal, →1 = fully concentrated).
@@ -143,14 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn lorenz_endpoints() {
-        let curve = lorenz_curve(&[1, 2, 3, 4]);
-        assert_eq!(curve[0], (0.0, 0.0));
-        assert_eq!(*curve.last().unwrap(), (1.0, 1.0));
-        assert_eq!(curve[1], (0.25, 0.1));
-    }
-
-    #[test]
     fn gini_known_values() {
         // Perfect equality.
         assert!((gini(&[5, 5, 5, 5]).unwrap() - 0.0).abs() < 1e-12);
@@ -173,13 +142,6 @@ mod tests {
             let a = top_share(&counts, f).unwrap();
             let b = top_share(&counts, (f + 0.1).min(1.0)).unwrap();
             prop_assert!(b + 1e-12 >= a);
-        }
-
-        #[test]
-        fn lorenz_below_diagonal(counts in proptest::collection::vec(0u64..1000, 1..100)) {
-            for (x, y) in lorenz_curve(&counts) {
-                prop_assert!(y <= x + 1e-9);
-            }
         }
     }
 }

@@ -1,80 +1,71 @@
 #!/usr/bin/env bash
-# Compare two BENCH_*.json reports (see scripts/bench.sh).
+# Judges one A/B report written by scripts/ab.sh.
 #
-# Usage: scripts/benchdiff.sh OLD.json NEW.json [threshold-pct]
+#   scripts/benchdiff.sh BENCH_<date>-<workload>.json
 #
-# Prints the end-to-end serial/parallel wall-time deltas and a
-# per-experiment table, flagging every experiment that slowed down by
-# more than the threshold (default 10%). Exits 1 when any regression
-# exceeds the threshold, so the script can gate CI or a local workflow.
+# For each end-to-end metric BENCHMARK.json lists, prints the base and
+# change medians with their q1–q3 (quartiles interpolate linearly), the
+# pairs the change won (ties count for neither), the bound with the
+# metric's better direction, and one verdict:
+#
+#   regression     the change's median is worse than the base's by more
+#                  than the bound, and the base's q1–q3 spread is within it
+#   unresolved     the base's spread is wider than the bound, unless every
+#                  change run reads better than every base run
+#   gain           the change won at least 9/10 of the pairs and the
+#                  medians differ by more than the base's q1–q3 spread
+#   no regression  otherwise
+#
+# Exit 1 on any regression, on any run that is not "correct":true, or
+# when the change failed a larger share of its operations than the base;
+# exit 2 when FILE is unreadable or not an A/B report; otherwise 0.
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 OLD.json NEW.json [threshold-pct]" >&2
-    exit 2
-fi
-OLD="$1"
-NEW="$2"
-THRESHOLD="${3:-10}"
-command -v jq >/dev/null || { echo "benchdiff.sh needs jq" >&2; exit 2; }
-
-for f in "$OLD" "$NEW"; do
-    [ -e "$f" ] || { echo "benchdiff: $f does not exist (run scripts/bench.sh to produce it)" >&2; exit 2; }
-    [ -r "$f" ] || { echo "benchdiff: cannot read $f (check permissions)" >&2; exit 2; }
-    jq empty "$f" 2>/dev/null || { echo "benchdiff: $f is not valid JSON (truncated or not a BENCH_*.json report?)" >&2; exit 2; }
-done
-
-# Refuse to "compare" reports with no experiment in common — that would
-# render an empty table and a misleading "no regressions" verdict.
-SHARED="$(jq -rn --slurpfile old "$OLD" --slurpfile new "$NEW" '
-    [($old[0].repro.per_experiment_seconds // [])[].id] as $o |
-    [($new[0].repro.per_experiment_seconds // [])[].id] as $n |
-    [$o[] | select(. as $id | $n | index($id))] | length')"
-if [ "$SHARED" -eq 0 ]; then
-    echo "benchdiff: $OLD and $NEW share no experiment ids; nothing to compare" >&2
-    echo "benchdiff: (are both files BENCH_*.json reports from scripts/bench.sh?)" >&2
+[ $# -eq 1 ] || { echo "usage: scripts/benchdiff.sh FILE" >&2; exit 2; }
+FILE="$1"
+if ! jq -e '[.base, .change] | all(.runs | type == "array" and length > 0)
+        and (map(.runs | map(.pair) | sort) | .[0] == .[1])' "$FILE" >/dev/null 2>&1; then
+    echo "benchdiff: $FILE is unreadable or not an A/B report from scripts/ab.sh" >&2
     exit 2
 fi
 
-provenance() { # provenance <file>
-    jq -r '"\(.date) @ \(.git_sha // "unknown") (\(.host_cpus) cpus)"' "$1"
-}
-echo "old: $OLD — $(provenance "$OLD")"
-echo "new: $NEW — $(provenance "$NEW")"
-if [ "$(jq -r '.git_sha // "unknown"' "$OLD")" = "unknown" ] ||
-   [ "$(jq -r '.git_sha // "unknown"' "$NEW")" = "unknown" ]; then
-    echo "note: a report lacks git_sha (predates provenance fields); comparison is ambiguous"
-fi
-echo
-
-# End-to-end wall times.
-jq -rn --slurpfile old "$OLD" --slurpfile new "$NEW" '
-    def delta(field):
-        ($old[0].repro[field]) as $o | ($new[0].repro[field]) as $n |
-        if $o and $n and $o > 0 then
-            "\(field): \($o)s -> \($n)s (\((($n - $o) / $o * 100 * 10 | round) / 10)%)"
-        else "\(field): missing in one report" end;
-    delta("threads_1_seconds"), delta("threads_ncpu_seconds")'
-echo
-
-# Per-experiment deltas, slowest-regression first. Output lines:
-#   <flag> <id> <old>s -> <new>s <pct>%
-# where flag is "!" for a regression beyond the threshold.
-TABLE="$(jq -rn --slurpfile old "$OLD" --slurpfile new "$NEW" --arg thr "$THRESHOLD" '
-    ($old[0].repro.per_experiment_seconds // []) as $o |
-    ($new[0].repro.per_experiment_seconds // []) as $n |
-    [ $o[] as $e | ($n[] | select(.id == $e.id)) as $m |
-      select($e.seconds > 0) |
-      { id: $e.id, old: $e.seconds, new: $m.seconds,
-        pct: (($m.seconds - $e.seconds) / $e.seconds * 100) } ] |
-    sort_by(-.pct) | .[] |
-    "\(if .pct > ($thr | tonumber) then "!" else " " end) \(.id) \(.old)s -> \(.new)s \((.pct * 10 | round) / 10)%"')"
-echo "$TABLE"
-echo
-
-REGRESSIONS="$(printf '%s\n' "$TABLE" | grep -c '^!' || true)"
-if [ "$REGRESSIONS" -gt 0 ]; then
-    echo "$REGRESSIONS experiment(s) regressed by more than ${THRESHOLD}%"
-    exit 1
-fi
-echo "no experiment regressed by more than ${THRESHOLD}%"
+REPORT="$(jq -r --slurpfile manifest "$(dirname "$0")/../BENCHMARK.json" '
+    def q($p): length as $n | sort as $s | ($p * ($n - 1)) as $i | ($i | floor) as $k
+        | $s[$k] + (if $k + 1 < $n then ($s[$k + 1] - $s[$k]) * ($i - $k) else 0 end);
+    def num: if fabs >= 1000 or . == 0 then round
+        else pow(10; 3 - (fabs | log10 | floor)) as $m | . * $m | round / $m end
+        | tostring;
+    def spread: "\(q(0.5) | num) (\(q(0.25) | num)–\(q(0.75) | num))";
+    def pad($w): tostring | if length < $w then . + " " * ($w - length) else . end;
+    def runs: [.runs[].result, .traced];
+    def failed_share: runs | (map(.failed) | add) / (map(.attempted) | add);
+    . as $r
+    | [$manifest[0].end_to_end[]
+       | .name as $name
+       # Signed so that smaller reads better, whichever way the metric points.
+       | (if .better == "lower" then 1 else -1 end) as $sign
+       | ([$r.base, $r.change]
+          | map(.runs | sort_by(.pair) | map(.result.metrics[$name].value))) as [$b, $c]
+       | ($b | q(0.5)) as $mb | ($c | q(0.5)) as $mc
+       | (($b | q(0.75)) - ($b | q(0.25))) as $iqr
+       | (.bound * ($mb | fabs)) as $limit
+       | ([range($b | length) as $i | select($sign * ($c[$i] - $b[$i]) < 0)] | length) as $won
+       | (($c | map($sign * .) | max) < ($b | map($sign * .) | min)) as $all_better
+       | { name: $name, bound: "\(.bound * 100)% \(.better)", $b, $c, won: "\($won)/\($b | length)",
+           verdict: (if $sign * ($mc - $mb) > $limit and $iqr <= $limit then "regression"
+             elif $iqr > $limit and ($all_better | not) then "unresolved"
+             elif $won * 10 >= ($b | length) * 9 and $sign * ($mb - $mc) > $iqr then "gain"
+             else "no regression" end) }] as $rows
+    | "\(.workload), seed \(.seed), \(.pairs) pairs of \(.seconds) s runs, nproc \(.nproc), \(.rustc)",
+      "base \(.base.sha)  change \(.change.sha)",
+      ([["metric", "base median (q1–q3)", "change median (q1–q3)", "won", "bound", "verdict"]]
+       + ($rows | map([.name, (.b | spread), (.c | spread), .won, .bound, .verdict]))
+       | .[] | "\(.[0] | pad(16))\(.[1] | pad(28))\(.[2] | pad(28))\(.[3] | pad(7))\(.[4] | pad(12))\(.[5])"),
+      ($rows[] | select(.verdict == "regression") | "FAIL: \(.name) regressed"),
+      (["base", "change"][] as $side | $r[$side] | runs | map(select(.correct != true)) | length
+       | select(. > 0) | "FAIL: \(.) \($side) run(s) not correct"),
+      (if ($r.change | failed_share) > ($r.base | failed_share)
+       then "FAIL: the change failed a larger share of operations than the base" else empty end)
+' "$FILE")"
+echo "$FILE: $REPORT"
+case "$REPORT" in *"FAIL: "*) exit 1 ;; esac

@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`core`] | `appstore-core` | domain model: ids, apps, categories, events, snapshots, datasets, deterministic seeding |
-//! | [`stats`] | `appstore-stats` | ECDFs, correlation, regression, power-law fits, Pareto/Lorenz/Gini, model distances, bootstrap |
+//! | [`stats`] | `appstore-stats` | ECDFs, correlation, regression, power-law fits, Pareto/Gini, the Eq. 6 model distance, bootstrap |
 //! | [`models`] | `appstore-models` | ZIPF, ZIPF-at-most-once and APP-CLUSTERING simulators, closed forms, grid-search fitting |
 //! | [`affinity`] | `appstore-affinity` | temporal affinity metric, random-walk baselines, per-user behaviour aggregations |
 //! | [`synth`] | `appstore-synth` | calibrated synthetic marketplace generator (the data substitution for the 2012 crawls) |
