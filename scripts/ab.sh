@@ -4,20 +4,24 @@
 #   scripts/ab.sh BASE WORKLOAD [PAIRS] [SECONDS] [SEED]
 #
 # BASE is any git revision; HEAD is the change, so commit what is to
-# be measured first. Both are checked out as detached worktrees in a
-# temp dir and each is built by its own `bash perfbench/run.sh` into
-# .bench_build/ab/{base,change}, then checked with one short run that
-# is not recorded. Then PAIRS pairs (default 10) of SECONDS-long
-# `--trace 0` runs (default: BENCHMARK.json's run_seconds) at SEED
-# (default 2013): the base runs first in odd pairs and the change in
-# even ones, so a slow phase of a shared host falls on both sides.
+# be measured first. Both are checked out as detached worktrees at
+# .bench_build/ab/src-{base,change} and each is built by its own
+# `bash perfbench/run.sh` into .bench_build/ab/{base,change}, then
+# checked with one short run that is not recorded. The paths are fixed
+# because cargo keys a path package's artifacts by its location: each
+# run replaces the last run's artifacts instead of adding a copy, and
+# a lock allows one run at a time per checkout. Then PAIRS pairs
+# (default 10) of SECONDS-long `--trace 0` runs (default:
+# BENCHMARK.json's run_seconds) at SEED (default 2013): the base runs
+# first in odd pairs and the change in even ones, so a slow phase of a
+# shared host falls on both sides.
 # Last, one `--trace 1` run per side gives the per-layer metrics.
 #
 # The raw record goes to BENCH_<date>-<workload>.json at the repo root,
 # or .2, .3, ... when that exists; it holds every result line and no
 # derived number. scripts/benchdiff.sh then judges it, and this script
-# exits with its status. Exit 2 on bad arguments, an unknown BASE or
-# uncommitted edits to tracked files.
+# exits with its status. Exit 2 on bad arguments, an unknown BASE,
+# uncommitted edits to tracked files or another run holding the lock.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT="$PWD"
@@ -39,16 +43,22 @@ BASE_SHA="$(git rev-parse --verify --quiet "$1^{commit}")" || usage "$1 is not a
 CHANGE_SHA="$(git rev-parse HEAD)"
 git diff --quiet HEAD || usage "tracked files have uncommitted edits; HEAD is what gets measured"
 
-TMP="$(mktemp -d)"
+AB="$ROOT/.bench_build/ab"
+mkdir -p "$AB"
+exec 9>"$AB/lock"
+flock -n 9 || usage "another scripts/ab.sh run holds $AB/lock"
 # Removing the directories and pruning unregisters both worktrees on
-# every exit path, however far the run got.
-trap 'rm -rf "$TMP"; git worktree prune' EXIT
+# every exit path, however far the run got, and clears what a killed
+# run left behind.
+cleanup() { rm -rf "$AB/src-base" "$AB/src-change" "$AB/runs.jsonl"; git worktree prune; }
+cleanup
+trap cleanup EXIT
 trap 'exit 130' INT TERM
-git worktree add --quiet --detach "$TMP/base" "$BASE_SHA"
-git worktree add --quiet --detach "$TMP/change" "$CHANGE_SHA"
+git worktree add --quiet --detach "$AB/src-base" "$BASE_SHA"
+git worktree add --quiet --detach "$AB/src-change" "$CHANGE_SHA"
 
 run() { # run SIDE TRACE SECONDS: perfbench's provenance and result lines
-    (cd "$TMP/$1" && CARGO_TARGET_DIR="$ROOT/.bench_build/ab/$1" bash perfbench/run.sh \
+    (cd "$AB/src-$1" && CARGO_TARGET_DIR="$AB/$1" bash perfbench/run.sh \
         --workload "$WORKLOAD" --seed "$SEED" --seconds "$3" --trace "$2") | tail -n 2
 }
 record() { # record SIDE TRACE PAIR POSITION
@@ -56,7 +66,7 @@ record() { # record SIDE TRACE PAIR POSITION
     run "$1" "$2" "$RUN_SECONDS" | jq -cs --arg side "$1" --argjson trace "$2" \
         --argjson pair "$3" --argjson position "$4" \
         '{side: $side, trace: $trace, pair: $pair, position: $position,
-          provenance: .[0].provenance, result: .[1]}' >>"$TMP/runs.jsonl"
+          provenance: .[0].provenance, result: .[1]}' >>"$AB/runs.jsonl"
 }
 
 for side in base change; do
@@ -98,7 +108,7 @@ done
           seconds: ($seconds | tonumber), pairs: ($pairs | tonumber),
           nproc: ($nproc | tonumber), rustc: $rustc,
           base: side("base"; $base), change: side("change"; $change) }' \
-        "$TMP/runs.jsonl" >"$OUT"
+        "$AB/runs.jsonl" >"$OUT"
 )
 echo "wrote $OUT"
 scripts/benchdiff.sh "$OUT"

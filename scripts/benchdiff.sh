@@ -10,6 +10,7 @@
 #
 #   regression     the change's median is worse than the base's by more
 #                  than the bound, and the base's q1–q3 spread is within it
+#                  or every change run reads worse than every base run
 #   unresolved     the base's spread is wider than the bound, unless every
 #                  change run reads better than every base run
 #   gain           the change won at least 9/10 of the pairs and the
@@ -51,8 +52,9 @@ REPORT="$(jq -r --slurpfile manifest "$(dirname "$0")/../BENCHMARK.json" '
        | (.bound * ($mb | fabs)) as $limit
        | ([range($b | length) as $i | select($sign * ($c[$i] - $b[$i]) < 0)] | length) as $won
        | (($c | map($sign * .) | max) < ($b | map($sign * .) | min)) as $all_better
+       | (($c | map($sign * .) | min) > ($b | map($sign * .) | max)) as $all_worse
        | { name: $name, bound: "\(.bound * 100)% \(.better)", $b, $c, won: "\($won)/\($b | length)",
-           verdict: (if $sign * ($mc - $mb) > $limit and $iqr <= $limit then "regression"
+           verdict: (if $sign * ($mc - $mb) > $limit and ($iqr <= $limit or $all_worse) then "regression"
              elif $iqr > $limit and ($all_better | not) then "unresolved"
              elif $won * 10 >= ($b | length) * 9 and $sign * ($mb - $mc) > $iqr then "gain"
              else "no regression" end) }] as $rows
