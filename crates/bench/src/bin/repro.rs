@@ -40,7 +40,6 @@
 //! of a failed grade as a flight-recorder event stream, for CI
 //! artifact upload.
 
-use appstore_core::faults::InjectedPanic;
 use appstore_core::Seed;
 use appstore_obs::Registry;
 use bench::experiments::{select, streaming_experiments};
@@ -289,22 +288,7 @@ fn report_main(rest: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// Installs a panic hook that prints one line, and no backtrace, for a
-/// panic a fault plan raised on purpose, and hands every other panic to
-/// the default hook unchanged. The chaos experiments inject panics to
-/// show they stay contained; a real panic must still print in full.
-fn install_panic_hook() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        match info.payload().downcast_ref::<InjectedPanic>() {
-            Some(injected) => eprintln!("{injected}"),
-            None => default_hook(info),
-        }
-    }));
-}
-
 fn main() {
-    install_panic_hook();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("report") {
         report_main(&raw[1..]);

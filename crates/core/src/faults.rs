@@ -303,7 +303,7 @@ pub fn roll(site: &str, index: u64, attempt: u64) -> Option<FaultKind> {
 }
 
 /// The payload of a panic that a [`FaultKind::WorkerPanic`] rule raises
-/// on purpose, tagged with its site and index so a panic hook can tell
+/// on purpose, tagged with its site and index so a catch site can tell
 /// it from a real bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedPanic {
@@ -319,10 +319,16 @@ impl std::fmt::Display for InjectedPanic {
     }
 }
 
-/// Panics with an [`InjectedPanic`] payload. It unwinds like any other
+/// Prints one line (`injected panic at {site} index {index}`) to stderr,
+/// then unwinds with an [`InjectedPanic`] payload. The unwind goes
+/// through [`std::panic::resume_unwind`], which runs no panic hook and
+/// captures no backtrace, so an injected panic stays one line in every
+/// binary, whatever `RUST_BACKTRACE` says. It unwinds like any other
 /// panic, so the isolation under test sees what a real bug would raise.
 pub fn inject_panic(site: &'static str, index: u64) -> ! {
-    std::panic::panic_any(InjectedPanic { site, index })
+    let injected = InjectedPanic { site, index };
+    eprintln!("{injected}");
+    std::panic::resume_unwind(Box::new(injected))
 }
 
 #[cfg(test)]

@@ -48,7 +48,15 @@ impl Seed {
 
     /// Derives the `index`-th child seed under `label` (one per entity).
     pub fn child_indexed(self, label: &str, index: u64) -> Seed {
-        Seed(splitmix64(self.child(label).0 ^ splitmix64(index)))
+        self.child(label).indexed(index)
+    }
+
+    /// Derives the `index`-th child of this node:
+    /// `seed.child_indexed(label, i)` is `seed.child(label).indexed(i)`,
+    /// so a caller that derives many indexed children under one label
+    /// can derive the label's node once.
+    pub fn indexed(self, index: u64) -> Seed {
+        Seed(splitmix64(self.0 ^ splitmix64(index)))
     }
 
     /// Instantiates the pinned random number generator for this node.
@@ -77,6 +85,15 @@ mod tests {
         assert_ne!(root.child_indexed("user", 1), root.child_indexed("user", 2));
         // label/index pairs must not collide with plain labels
         assert_ne!(root.child_indexed("user", 0), root.child("user"));
+    }
+
+    #[test]
+    fn indexed_children_of_a_label_node_are_child_indexed() {
+        let root = Seed::new(42);
+        let route = root.child("route");
+        for index in [0, 1, 7, u64::MAX] {
+            assert_eq!(route.indexed(index), root.child_indexed("route", index));
+        }
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //! ([`gauge`]), histograms with a fixed power-of-two bucket layout
 //! ([`observe`]), and nestable timed spans ([`span`]) whose call counts
 //! are deterministic while their accumulated nanoseconds are volatile.
+//! [`record`] applies a slice of metric [`Update`]s under one context
+//! lookup and one registry lock; every one-call facade is a one-element
+//! `record`, so all metrics are recorded one way.
 //!
 //! Beyond aggregate metrics, a [`Tracer`] (installed with
 //! [`with_tracer`], orthogonal to the registry) records an event-level
@@ -46,7 +49,7 @@ pub mod trace;
 
 pub use flight::FlightRecorder;
 pub use hdr::LogLinearHistogram;
-pub use registry::{prometheus_escape, prometheus_name, Registry, POW2_BUCKET_BOUNDS};
+pub use registry::{prometheus_escape, prometheus_name, Registry, Update, POW2_BUCKET_BOUNDS};
 pub use trace::{TimeBase, Tracer, DEFAULT_TRACE_CAPACITY};
 
 use std::cell::RefCell;
@@ -157,16 +160,6 @@ pub fn enabled() -> bool {
     })
 }
 
-fn with_current(f: impl FnOnce(&Registry)) {
-    CURRENT.with(|c| {
-        if let Some(ctx) = c.borrow().as_ref() {
-            if let Some(registry) = &ctx.registry {
-                f(registry);
-            }
-        }
-    });
-}
-
 /// The registry installed on the current thread, if any — a cheap
 /// shared handle. Lets long-lived components (like the serve telemetry
 /// endpoints) capture the registry once and render snapshots from other
@@ -196,66 +189,84 @@ fn declared(name: &str, registry: Option<&Registry>) -> bool {
         );
     }
     if let Some(registry) = registry {
-        registry.counter_add(names::OBS_UNDECLARED, 1, true);
+        registry.apply(
+            &[Update::CounterVolatile(names::OBS_UNDECLARED, 1)],
+            |_, _| {},
+        );
     }
     false
+}
+
+/// Records `updates` in slice order, under one lookup of the thread's
+/// context and one registry lock (a name's first record releases it for
+/// the declared-name guard). Each update records exactly what its
+/// one-call facade records ([`Update::Counter`] what [`counter`] does,
+/// and so on), and a volatile update flags its metric volatile. With a tracer installed,
+/// each recorded deterministic counter is also a timeline counter sample
+/// on the current track, in slice order; with a tracer but no registry,
+/// only those samples are recorded. With neither, this is a no-op.
+pub fn record(updates: &[Update<'_>]) {
+    CURRENT.with(|c| {
+        let borrow = c.borrow();
+        let Some(ctx) = borrow.as_ref() else {
+            return;
+        };
+        let sample = |name: &str, delta: u64| {
+            if let Some(tracer) = &ctx.tracer {
+                tracer.counter_sample(&ctx.track, name, delta);
+            }
+        };
+        match &ctx.registry {
+            Some(registry) => registry.apply(updates, sample),
+            None if ctx.tracer.is_some() => {
+                for update in updates {
+                    if let Update::Counter(name, delta) = *update {
+                        if declared(name, None) {
+                            sample(name, delta);
+                        }
+                    }
+                }
+            }
+            None => {}
+        }
+    });
 }
 
 /// Adds `delta` to the deterministic counter `name`. With a tracer
 /// installed the increment is also recorded as a timeline counter
 /// sample on the current track.
 pub fn counter(name: &str, delta: u64) {
-    CURRENT.with(|c| {
-        if let Some(ctx) = c.borrow().as_ref() {
-            let recorded = match &ctx.registry {
-                Some(registry) => registry.counter_add(name, delta, false),
-                None => ctx.tracer.is_some() && declared(name, None),
-            };
-            if let (true, Some(tracer)) = (recorded, &ctx.tracer) {
-                tracer.counter_sample(&ctx.track, name, delta);
-            }
-        }
-    });
+    record(&[Update::Counter(name, delta)]);
 }
 
 /// Adds `delta` to the volatile counter `name` (zeroed in no-timings
 /// snapshots; use for values that depend on worker count or machine).
 /// Never traced: its call placement is scheduler-dependent.
 pub fn counter_volatile(name: &str, delta: u64) {
-    with_current(|r| {
-        r.counter_add(name, delta, true);
-    });
+    record(&[Update::CounterVolatile(name, delta)]);
 }
 
 /// Sets the deterministic gauge `name` to `value` (last write wins).
 pub fn gauge(name: &str, value: i64) {
-    with_current(|r| {
-        r.gauge_set(name, value, false);
-    });
+    record(&[Update::Gauge(name, value)]);
 }
 
 /// Sets the volatile gauge `name` to `value` (zeroed in no-timings
 /// snapshots).
 pub fn gauge_volatile(name: &str, value: i64) {
-    with_current(|r| {
-        r.gauge_set(name, value, true);
-    });
+    record(&[Update::GaugeVolatile(name, value)]);
 }
 
 /// Records `value` into the deterministic histogram `name` (fixed
 /// power-of-two bucket layout, see [`POW2_BUCKET_BOUNDS`]).
 pub fn observe(name: &str, value: u64) {
-    with_current(|r| {
-        r.histogram_observe(name, value, false);
-    });
+    record(&[Update::Observe(name, value)]);
 }
 
 /// Records `value` into the volatile histogram `name` (all fields zeroed
 /// in no-timings snapshots).
 pub fn observe_volatile(name: &str, value: u64) {
-    with_current(|r| {
-        r.histogram_observe(name, value, true);
-    });
+    record(&[Update::ObserveVolatile(name, value)]);
 }
 
 /// Records `value` into the deterministic log-linear histogram `name`
@@ -263,17 +274,13 @@ pub fn observe_volatile(name: &str, value: u64) {
 /// p50/p90/p99/p999 accessors in snapshots and via
 /// [`Registry::hdr_quantile`].
 pub fn observe_hdr(name: &str, value: u64) {
-    with_current(|r| {
-        r.hdr_observe(name, value, false);
-    });
+    record(&[Update::ObserveHdr(name, value)]);
 }
 
 /// Records `value` into the volatile log-linear histogram `name` (all
 /// fields zeroed in no-timings snapshots).
 pub fn observe_hdr_volatile(name: &str, value: u64) {
-    with_current(|r| {
-        r.hdr_observe(name, value, true);
-    });
+    record(&[Update::ObserveHdrVolatile(name, value)]);
 }
 
 /// Records an instant event named `name` on the current track. Trace
@@ -750,7 +757,7 @@ mod tests {
         assert!(current_registry().is_none());
         let registry = Registry::new();
         let handle = with_registry(&registry, || current_registry().expect("installed"));
-        handle.counter_add(names::SERVE_REQUESTS, 3, false);
+        handle.apply(&[Update::Counter(names::SERVE_REQUESTS, 3)], |_, _| {});
         assert_eq!(registry.counter_value(names::SERVE_REQUESTS), 3);
     }
 
@@ -782,5 +789,100 @@ mod tests {
             tracer.export_collapsed(TimeBase::Logical)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// Every kind of update, with names first seen mid-slice, a name
+    /// repeated within one slice, and a deterministic update to a
+    /// counter an earlier update flagged volatile.
+    const MIXED: [Update<'static>; 12] = [
+        Update::Counter("test.a", 2),
+        Update::ObserveHdr("test.lat", 81),
+        Update::Counter("test.a", 3),
+        Update::CounterVolatile("test.vol", 5),
+        Update::Gauge("test.g", -4),
+        Update::GaugeVolatile("test.vg", 9),
+        Update::Observe("test.sizes", 100),
+        Update::ObserveVolatile("test.real", 7),
+        Update::ObserveHdrVolatile("test.vlat", 3),
+        Update::Counter("test.b", 1),
+        Update::ObserveHdr("test.lat", 5),
+        Update::Counter("test.vol", 1),
+    ];
+
+    /// Records one update through its one-call facade.
+    fn facade(update: Update<'_>) {
+        match update {
+            Update::Counter(name, value) => counter(name, value),
+            Update::CounterVolatile(name, value) => counter_volatile(name, value),
+            Update::Gauge(name, value) => gauge(name, value),
+            Update::GaugeVolatile(name, value) => gauge_volatile(name, value),
+            Update::Observe(name, value) => observe(name, value),
+            Update::ObserveVolatile(name, value) => observe_volatile(name, value),
+            Update::ObserveHdr(name, value) => observe_hdr(name, value),
+            Update::ObserveHdrVolatile(name, value) => observe_hdr_volatile(name, value),
+        }
+    }
+
+    /// The Chrome export without its wall-clock `ts` fields: what is
+    /// left is each track's events, in order, with logical stamps.
+    fn without_wall_time(chrome: &str) -> String {
+        chrome
+            .lines()
+            .map(|line| match line.find("\"ts\": ") {
+                Some(at) => {
+                    let rest = &line[at..];
+                    let end = rest.find(", ").expect("ts is followed by a field");
+                    format!("{}{}", &line[..at], &rest[end + 2..])
+                }
+                None => line.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// The four registry renderings and the tracer's ordered events after
+    /// two passes over [`MIXED`] (the second finds every name known),
+    /// recorded in slices of `chunk` updates; 0 goes through the facades.
+    fn rendered(chunk: usize) -> [String; 5] {
+        let registry = Registry::new();
+        let tracer = Tracer::new();
+        with_tracer(&tracer, || {
+            with_registry(&registry, || {
+                for _ in 0..2 {
+                    if chunk == 0 {
+                        MIXED.iter().copied().for_each(facade);
+                    } else {
+                        MIXED.chunks(chunk).for_each(record);
+                    }
+                }
+            })
+        });
+        [
+            registry.snapshot_json(true),
+            registry.snapshot_json(false),
+            registry.render_prometheus(true),
+            registry.render_prometheus(false),
+            without_wall_time(&tracer.export_chrome()),
+        ]
+    }
+
+    #[test]
+    fn record_slices_render_like_one_update_at_a_time() {
+        let reference = rendered(0);
+        assert!(reference[0].contains("\"test.a\": 10"), "{}", reference[0]);
+        assert!(reference[0].contains("\"test.vol\": 0"), "{}", reference[0]);
+        assert_eq!(reference[4].matches("\"ph\": \"C\"").count(), 8);
+        for chunk in [1, 2, 5, MIXED.len()] {
+            assert_eq!(rendered(chunk), reference, "slices of {chunk}");
+        }
+    }
+
+    #[test]
+    fn record_without_a_registry_samples_only_declared_counters() {
+        let tracer = Tracer::new();
+        with_tracer(&tracer, || record(&MIXED));
+        let folded = tracer.export_collapsed(TimeBase::Logical);
+        assert_eq!(folded, "test.a 2\ntest.b 1\ntest.vol 1\n");
+        record(&MIXED);
     }
 }

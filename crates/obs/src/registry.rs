@@ -8,7 +8,9 @@
 //! Recording is cheapest for a name seen before: its cell is updated in
 //! place under the lock, with no name check and no allocation. Only a
 //! name's first record runs the declared-name guard and allocates the
-//! key, so a registry only ever holds declared names.
+//! key, so a registry only ever holds declared names. Every update goes
+//! through [`Registry::apply`], which takes a slice of them under one
+//! lock.
 
 use crate::hdr::LogLinearHistogram;
 use std::collections::BTreeMap;
@@ -27,6 +29,56 @@ pub const POW2_BUCKET_BOUNDS: [u64; 41] = {
     }
     bounds
 };
+
+/// Index of the pow2 bucket holding `value`: the first bound at or above
+/// it, or the overflow slot past the last bound. `value - 1` has its
+/// highest set bit just below the bound's, so the leading zeros find it
+/// without scanning the bounds.
+#[inline]
+fn pow2_bucket(value: u64) -> usize {
+    let bits = u64::BITS - value.saturating_sub(1).leading_zeros();
+    (bits as usize).min(POW2_BUCKET_BOUNDS.len())
+}
+
+/// One metric update, as [`crate::record`] takes them in a slice. Each
+/// kind records exactly what its one-call facade does (`Counter` is
+/// [`crate::counter`], `ObserveHdr` is [`crate::observe_hdr`], and so
+/// on); the volatile kinds flag their metric volatile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Update<'a> {
+    /// Adds to a deterministic counter.
+    Counter(&'a str, u64),
+    /// Adds to a volatile counter.
+    CounterVolatile(&'a str, u64),
+    /// Sets a deterministic gauge.
+    Gauge(&'a str, i64),
+    /// Sets a volatile gauge.
+    GaugeVolatile(&'a str, i64),
+    /// Records into a deterministic power-of-two histogram.
+    Observe(&'a str, u64),
+    /// Records into a volatile power-of-two histogram.
+    ObserveVolatile(&'a str, u64),
+    /// Records into a deterministic log-linear histogram.
+    ObserveHdr(&'a str, u64),
+    /// Records into a volatile log-linear histogram.
+    ObserveHdrVolatile(&'a str, u64),
+}
+
+impl Update<'_> {
+    /// The metric the update records into.
+    fn name(&self) -> &str {
+        match *self {
+            Update::Counter(name, _)
+            | Update::CounterVolatile(name, _)
+            | Update::Gauge(name, _)
+            | Update::GaugeVolatile(name, _)
+            | Update::Observe(name, _)
+            | Update::ObserveVolatile(name, _)
+            | Update::ObserveHdr(name, _)
+            | Update::ObserveHdrVolatile(name, _) => name,
+        }
+    }
+}
 
 #[derive(Clone, Default)]
 struct Counter {
@@ -82,6 +134,66 @@ struct State {
     spans: BTreeMap<String, Span>,
 }
 
+/// `name`'s cell in `section`: the existing one, or with `create` a new
+/// default cell. `None` when the name has no cell and `create` is off.
+fn cell<'s, T: Default>(
+    section: &'s mut BTreeMap<String, T>,
+    name: &str,
+    create: bool,
+) -> Option<&'s mut T> {
+    if create {
+        return Some(section.entry(name.to_string()).or_default());
+    }
+    section.get_mut(name)
+}
+
+impl State {
+    /// Applies `update` to its cell. A name without a cell is left alone
+    /// and reads `false`, unless `create` makes the cell first.
+    fn apply(&mut self, update: &Update<'_>, create: bool) -> bool {
+        let volatile = matches!(
+            update,
+            Update::CounterVolatile(..)
+                | Update::GaugeVolatile(..)
+                | Update::ObserveVolatile(..)
+                | Update::ObserveHdrVolatile(..)
+        );
+        match *update {
+            Update::Counter(name, delta) | Update::CounterVolatile(name, delta) => {
+                let Some(cell) = cell(&mut self.counters, name, create) else {
+                    return false;
+                };
+                cell.value = cell.value.saturating_add(delta);
+                cell.volatile |= volatile;
+            }
+            Update::Gauge(name, value) | Update::GaugeVolatile(name, value) => {
+                let Some(cell) = cell(&mut self.gauges, name, create) else {
+                    return false;
+                };
+                cell.value = value;
+                cell.volatile |= volatile;
+            }
+            Update::Observe(name, value) | Update::ObserveVolatile(name, value) => {
+                let Some(cell) = cell(&mut self.histograms, name, create) else {
+                    return false;
+                };
+                cell.counts[pow2_bucket(value)] += 1;
+                cell.count += 1;
+                cell.sum = cell.sum.saturating_add(value);
+                cell.volatile |= volatile;
+            }
+            Update::ObserveHdr(name, value) | Update::ObserveHdrVolatile(name, value) => {
+                let Some(cell) = cell(&mut self.hdr, name, create) else {
+                    return false;
+                };
+                cell.hist.record(value);
+                cell.volatile |= volatile;
+            }
+        }
+        true
+    }
+}
+
 /// A metric registry. Cheap to clone (shared handle); safe to record
 /// into from many threads at once.
 #[derive(Clone, Default)]
@@ -95,79 +207,32 @@ impl Registry {
         Registry::default()
     }
 
-    /// Updates `name`'s cell in one section of the state. A name
-    /// recorded before is updated in place under the lock. The first
-    /// record of a name runs the declared-name guard with the lock
-    /// released (in debug builds the guard panics), then inserts it.
-    /// Returns whether the update was recorded.
-    fn update<T: Default>(
+    /// Applies `updates` in slice order under one lock. A name recorded
+    /// before is updated in place. The first record of a name runs the
+    /// declared-name guard with the lock released (in debug builds the
+    /// guard panics), then inserts it; an undeclared name is skipped.
+    /// `recorded_counter` sees every deterministic counter update that
+    /// was recorded, in slice order, with the lock held.
+    pub(crate) fn apply(
         &self,
-        section: fn(&mut State) -> &mut BTreeMap<String, T>,
-        name: &str,
-        apply: impl FnOnce(&mut T),
-    ) -> bool {
+        updates: &[Update<'_>],
+        mut recorded_counter: impl FnMut(&str, u64),
+    ) {
         let mut state = self.inner.lock().unwrap();
-        if let Some(cell) = section(&mut state).get_mut(name) {
-            apply(cell);
-            return true;
+        for update in updates {
+            if !state.apply(update, false) {
+                drop(state);
+                let declared = crate::declared(update.name(), Some(self));
+                state = self.inner.lock().unwrap();
+                if !declared {
+                    continue;
+                }
+                state.apply(update, true);
+            }
+            if let Update::Counter(name, delta) = *update {
+                recorded_counter(name, delta);
+            }
         }
-        drop(state);
-        if !crate::declared(name, Some(self)) {
-            return false;
-        }
-        let mut state = self.inner.lock().unwrap();
-        apply(section(&mut state).entry(name.to_string()).or_default());
-        true
-    }
-
-    pub(crate) fn counter_add(&self, name: &str, delta: u64, volatile: bool) -> bool {
-        self.update(
-            |state| &mut state.counters,
-            name,
-            |cell| {
-                cell.value = cell.value.saturating_add(delta);
-                cell.volatile |= volatile;
-            },
-        )
-    }
-
-    pub(crate) fn gauge_set(&self, name: &str, value: i64, volatile: bool) {
-        self.update(
-            |state| &mut state.gauges,
-            name,
-            |cell| {
-                cell.value = value;
-                cell.volatile |= volatile;
-            },
-        );
-    }
-
-    pub(crate) fn histogram_observe(&self, name: &str, value: u64, volatile: bool) {
-        let bucket = POW2_BUCKET_BOUNDS
-            .iter()
-            .position(|&bound| value <= bound)
-            .unwrap_or(POW2_BUCKET_BOUNDS.len());
-        self.update(
-            |state| &mut state.histograms,
-            name,
-            |cell| {
-                cell.counts[bucket] += 1;
-                cell.count += 1;
-                cell.sum = cell.sum.saturating_add(value);
-                cell.volatile |= volatile;
-            },
-        );
-    }
-
-    pub(crate) fn hdr_observe(&self, name: &str, value: u64, volatile: bool) {
-        self.update(
-            |state| &mut state.hdr,
-            name,
-            |cell| {
-                cell.hist.record(value);
-                cell.volatile |= volatile;
-            },
-        );
     }
 
     pub(crate) fn span_record(&self, path: &str, elapsed_ns: u64) {
@@ -488,6 +553,29 @@ pub(crate) fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Applies one update, as the one-call facades do.
+    fn rec(registry: &Registry, update: Update<'_>) {
+        registry.apply(&[update], |_, _| {});
+    }
+
+    #[test]
+    fn pow2_bucket_matches_the_bound_scan() {
+        let scan = |value: u64| {
+            POW2_BUCKET_BOUNDS
+                .iter()
+                .position(|&bound| value <= bound)
+                .unwrap_or(POW2_BUCKET_BOUNDS.len())
+        };
+        let mut values = vec![0, 1, u64::MAX];
+        for k in 0..=41 {
+            let power = 1u64 << k;
+            values.extend([power - 1, power, power + 1]);
+        }
+        for value in values {
+            assert_eq!(pow2_bucket(value), scan(value), "value {value}");
+        }
+    }
+
     #[test]
     fn bucket_bounds_are_powers_of_two() {
         assert_eq!(POW2_BUCKET_BOUNDS[0], 1);
@@ -498,11 +586,11 @@ mod tests {
     #[test]
     fn histogram_buckets_values() {
         let r = Registry::new();
-        r.histogram_observe("test.h", 0, false); // <= 1
-        r.histogram_observe("test.h", 1, false); // <= 1
-        r.histogram_observe("test.h", 2, false); // <= 2
-        r.histogram_observe("test.h", 3, false); // <= 4
-        r.histogram_observe("test.h", u64::MAX, false); // overflow
+        rec(&r, Update::Observe("test.h", 0)); // <= 1
+        rec(&r, Update::Observe("test.h", 1)); // <= 1
+        rec(&r, Update::Observe("test.h", 2)); // <= 2
+        rec(&r, Update::Observe("test.h", 3)); // <= 4
+        rec(&r, Update::Observe("test.h", u64::MAX)); // overflow
         let json = r.snapshot_json(false);
         assert!(json.contains("[1, 2]"), "two obs in first bucket: {json}");
         assert!(json.contains("[2, 1]"));
@@ -527,8 +615,8 @@ mod tests {
     #[test]
     fn counter_value_reads_back() {
         let r = Registry::new();
-        r.counter_add("test.x", 3, false);
-        r.counter_add("test.x", 4, false);
+        rec(&r, Update::Counter("test.x", 3));
+        rec(&r, Update::Counter("test.x", 4));
         assert_eq!(r.counter_value("test.x"), 7);
         assert_eq!(r.counter_value("missing"), 0);
     }
@@ -537,7 +625,7 @@ mod tests {
     fn hdr_section_renders_quantiles_and_buckets() {
         let r = Registry::new();
         for v in [1u64, 2, 3, 81] {
-            r.hdr_observe("test.lat", v, false);
+            rec(&r, Update::ObserveHdr("test.lat", v));
         }
         let json = r.snapshot_json(false);
         assert!(json.contains("\"hdr\": {"), "{json}");
@@ -550,7 +638,7 @@ mod tests {
     #[test]
     fn hdr_volatile_zeroes_under_no_timings() {
         let r = Registry::new();
-        r.hdr_observe("test.vlat", 100, true);
+        rec(&r, Update::ObserveHdrVolatile("test.vlat", 100));
         let json = r.snapshot_json(true);
         assert!(
             json.contains("\"test.vlat\": {\"count\": 0, \"sum\": 0"),
@@ -577,11 +665,11 @@ mod tests {
     #[test]
     fn prometheus_exposition_orders_sections_and_flags_volatile() {
         let r = Registry::new();
-        r.counter_add("test.b.count", 2, false);
-        r.counter_add("test.a.count", 1, true);
-        r.gauge_set("test.depth", 7, false);
-        r.histogram_observe("test.h.sizes", 3, false);
-        r.hdr_observe("test.lat", 81, false);
+        rec(&r, Update::Counter("test.b.count", 2));
+        rec(&r, Update::CounterVolatile("test.a.count", 1));
+        rec(&r, Update::Gauge("test.depth", 7));
+        rec(&r, Update::Observe("test.h.sizes", 3));
+        rec(&r, Update::ObserveHdr("test.lat", 81));
         r.span_record("outer/inner", 999);
         let text = r.render_prometheus(false);
         // Lexicographic within a section, counters before gauges before
@@ -614,8 +702,8 @@ mod tests {
     fn prometheus_histogram_buckets_are_cumulative_and_inf_matches_count() {
         let r = Registry::new();
         for v in [1u64, 1, 2, 3, 100, u64::MAX] {
-            r.histogram_observe("test.h", v, false);
-            r.hdr_observe("test.lat", v, false);
+            rec(&r, Update::Observe("test.h", v));
+            rec(&r, Update::ObserveHdr("test.lat", v));
         }
         let text = r.render_prometheus(false);
         for metric in ["test_h", "test_lat"] {
@@ -654,10 +742,10 @@ mod tests {
                     scope.spawn(move || {
                         for i in 0..100u64 {
                             if i % threads as u64 == t as u64 {
-                                r.counter_add("test.det", 1, false);
-                                r.counter_add("test.vol", i, true);
-                                r.hdr_observe("test.lat", i, false);
-                                r.histogram_observe("test.sizes", i, false);
+                                rec(&r, Update::Counter("test.det", 1));
+                                rec(&r, Update::CounterVolatile("test.vol", i));
+                                rec(&r, Update::ObserveHdr("test.lat", i));
+                                rec(&r, Update::Observe("test.sizes", i));
                             }
                         }
                     });

@@ -134,6 +134,9 @@ pub struct BackingTier<'a> {
     latency: LogLinearHistogram,
     policy: HedgePolicy,
     seed: Seed,
+    /// `seed.child("route")`: call `i`'s candidates come from its
+    /// `i`-th child.
+    route: Seed,
     base_latency_ms: u64,
     calls: u64,
     hedges_fired: u64,
@@ -171,6 +174,7 @@ impl<'a> BackingTier<'a> {
             latency: LogLinearHistogram::new(),
             policy: hedge,
             seed,
+            route: seed.child("route"),
             base_latency_ms: policy.latency_ms,
             calls: 0,
             hedges_fired: 0,
@@ -198,7 +202,7 @@ impl<'a> BackingTier<'a> {
         if n <= 1 {
             return (0, 0);
         }
-        let mut rng = self.seed.child_indexed("route", index).rng();
+        let mut rng = self.route.indexed(index).rng();
         let a = rng.gen::<u64>() % n;
         let b = (a + 1 + rng.gen::<u64>() % (n - 1)) % n;
         (a as usize, b as usize)
@@ -391,9 +395,14 @@ impl<'a> BackingTier<'a> {
             note,
             request,
         ) {
-            Ok((payload, latency_ms)) => {
+            // The hedge delay is never below `min_delay_ms`, so at or
+            // under that floor no slow-primary hedge can fire, and the
+            // p99 is read only above it.
+            Ok((payload, latency_ms))
+                if secondary != primary && latency_ms > self.policy.min_delay_ms =>
+            {
                 let hedge_delay = self.policy.delay_ms(self.latency.p99());
-                if secondary != primary && latency_ms > hedge_delay && self.hedge_coin(call) {
+                if latency_ms > hedge_delay && self.hedge_coin(call) {
                     if self.budgets[secondary].try_spend() {
                         self.hedges_fired += 1;
                         appstore_obs::counter(names::BALANCER_HEDGES_FIRED, 1);
@@ -423,6 +432,11 @@ impl<'a> BackingTier<'a> {
                         appstore_obs::counter(names::BALANCER_HEDGES_DENIED, 1);
                     }
                 }
+                deadline.charge(latency_ms);
+                self.latency.record(latency_ms);
+                Ok(payload)
+            }
+            Ok((payload, latency_ms)) => {
                 deadline.charge(latency_ms);
                 self.latency.record(latency_ms);
                 Ok(payload)
@@ -523,6 +537,12 @@ impl<'a> BackingTier<'a> {
             divergent,
             reference_fingerprint,
         }
+    }
+
+    /// Page-table slots allocated so far.
+    #[cfg(test)]
+    pub(crate) fn page_slots(&self) -> usize {
+        self.pages.slots()
     }
 
     /// The deterministic routing/hedging counters for `/admin/tier`.
@@ -795,6 +815,7 @@ mod tests {
         let mut t = tier(&dataset, 3, HedgePolicy::default());
         assert_eq!(t.pages.len(), 0, "nothing is encoded at start-up");
         let observations = &dataset.snapshots[0].observations;
+        let mut first_pass = Vec::new();
         for pass in 0..2u64 {
             for (i, observation) in observations.iter().enumerate() {
                 let request = Request::AppPage {
@@ -807,16 +828,37 @@ mod tests {
                     observation: *observation,
                 });
                 assert_eq!(served, expected, "pass {pass}, app {i}");
+                if pass == 0 {
+                    first_pass.push(served);
+                } else {
+                    // The same bytes, not a second encoding, whichever
+                    // replica served it.
+                    assert_eq!(served.as_ptr(), first_pass[i].as_ptr(), "app {i}");
+                }
             }
         }
         // One encoding per page, however many fetches and replicas.
         assert_eq!(t.pages.len(), observations.len());
-        let unknown = Request::AppPage {
-            app: appstore_core::AppId(999),
-            day: Day(0),
-        };
-        assert_eq!(fetch(&mut t, 1, 100, unknown), Err(TierError::NotFound));
+        let slots = t.page_slots();
+        for unknown in [
+            Request::AppPage {
+                app: appstore_core::AppId(24),
+                day: Day(0),
+            },
+            Request::AppPage {
+                app: appstore_core::AppId(u32::MAX),
+                day: Day(0),
+            },
+            Request::AppPage {
+                app: appstore_core::AppId(3),
+                day: Day(99),
+            },
+            Request::Index { day: Day(99) },
+        ] {
+            assert_eq!(fetch(&mut t, 1, 100, unknown), Err(TierError::NotFound));
+        }
         assert_eq!(t.pages.len(), observations.len(), "errors are not kept");
+        assert_eq!(t.page_slots(), slots, "errors size nothing");
     }
 
     #[test]

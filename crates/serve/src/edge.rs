@@ -4,8 +4,12 @@
 //! download traffic; this module is that cache, placed in front of the
 //! backing store by the serving layer. App pages live in an
 //! [`appstore_cache::Lru`] (unit-size objects, exactly the paper's
-//! Fig. 19 setup) with the encoded payload carried alongside, so a hit
-//! is served without touching the backing store at all. The rankings
+//! Fig. 19 setup) with the encoded payload carried alongside in a slot
+//! indexed by app id, so a hit is served without hashing and without
+//! touching the backing store at all. Only an admitted page grows the
+//! slots, so a client-supplied id never sizes anything. The cache counts
+//! its own hits and misses; the server records them with the rest of a
+//! request's metrics. The rankings
 //! page is a single hot object cached with a virtual-time TTL: within
 //! the TTL it is *fresh*; after the TTL it is *stale* but retained, so
 //! that when the backing store is tripped or slow the server can keep
@@ -14,7 +18,6 @@
 
 use appstore_cache::{Lru, ReplacementPolicy};
 use bytes::Bytes;
-use std::collections::HashMap;
 
 /// What the edge knows about the rankings page right now.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +35,8 @@ pub enum RankingsView {
 /// The serving layer's edge cache.
 pub struct EdgeCache {
     apps: Lru,
-    payloads: HashMap<u32, Bytes>,
+    /// The payload of each cached app page, by app id.
+    payloads: Vec<Option<Bytes>>,
     rankings: Option<(Bytes, u64)>,
     rankings_ttl_ms: u64,
     hits: u64,
@@ -45,7 +49,7 @@ impl EdgeCache {
     pub fn new(capacity: usize, rankings_ttl_ms: u64) -> EdgeCache {
         EdgeCache {
             apps: Lru::new(capacity),
-            payloads: HashMap::with_capacity(capacity),
+            payloads: Vec::new(),
             rankings: None,
             rankings_ttl_ms,
             hits: 0,
@@ -58,7 +62,7 @@ impl EdgeCache {
     pub fn warm_app(&mut self, app: u32, payload: Bytes) {
         self.apps.warm(app);
         if self.apps.contains(app) {
-            self.payloads.insert(app, payload);
+            *self.slot(app) = Some(payload);
         }
     }
 
@@ -69,23 +73,39 @@ impl EdgeCache {
     pub fn lookup_app(&mut self, app: u32) -> Option<Bytes> {
         if self.apps.touch(app) {
             self.hits += 1;
-            appstore_obs::counter(appstore_obs::names::SERVE_EDGE_HITS, 1);
-            self.payloads.get(&app).cloned()
+            self.payloads[app as usize].clone()
         } else {
             self.misses += 1;
-            appstore_obs::counter(appstore_obs::names::SERVE_EDGE_MISSES, 1);
             None
         }
     }
 
-    /// Admits a freshly fetched app page, evicting the LRU victim's
-    /// payload if the cache was full.
-    pub fn fill_app(&mut self, app: u32, payload: Bytes) {
-        if let Some(evicted) = self.apps.insert_evicting(app) {
-            self.payloads.remove(&evicted);
-            appstore_obs::counter(appstore_obs::names::SERVE_EDGE_EVICTIONS, 1);
+    /// Admits a freshly fetched app page, dropping the LRU victim's
+    /// payload if the cache was full. Returns whether it evicted.
+    pub fn fill_app(&mut self, app: u32, payload: Bytes) -> bool {
+        let evicted = self.apps.insert_evicting(app);
+        if let Some(evicted) = evicted {
+            self.payloads[evicted as usize] = None;
         }
-        self.payloads.insert(app, payload);
+        *self.slot(app) = Some(payload);
+        evicted.is_some()
+    }
+
+    /// `app`'s payload slot, grown to fit: only pages being admitted
+    /// reach here.
+    fn slot(&mut self, app: u32) -> &mut Option<Bytes> {
+        let index = app as usize;
+        if self.payloads.len() <= index {
+            self.payloads.resize(index + 1, None);
+        }
+        &mut self.payloads[index]
+    }
+
+    /// App-page slots allocated so far (one per app id up to the
+    /// highest admitted).
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.payloads.len()
     }
 
     /// The rankings page as of virtual time `now_ms`.
@@ -140,6 +160,9 @@ impl EdgeCache {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use appstore_cache::hit_ratio;
+    use appstore_core::{AppId, Day, DownloadEvent, UserId};
+    use proptest::prelude::*;
 
     fn payload(tag: u8) -> Bytes {
         Bytes::from(vec![tag; 4])
@@ -157,8 +180,63 @@ mod tests {
         assert_eq!(edge.lookup_app(1), Some(payload(1)));
         assert_eq!(edge.hits(), 2);
         assert_eq!(edge.misses(), 2);
-        // The evicted payload is gone from the side table too.
-        assert_eq!(edge.payloads.len(), 2);
+        // The evicted payload is gone from its slot too.
+        assert_eq!(edge.payloads.iter().flatten().count(), 2);
+    }
+
+    #[test]
+    fn fill_reports_its_evictions() {
+        let mut edge = EdgeCache::new(1, 1_000);
+        assert!(!edge.fill_app(5, payload(5)), "room to spare");
+        assert!(!edge.fill_app(5, payload(5)), "already cached");
+        assert!(edge.fill_app(2, payload(2)), "5 makes room for 2");
+        assert_eq!(edge.lookup_app(5), None);
+        assert_eq!(edge.lookup_app(2), Some(payload(2)));
+    }
+
+    #[test]
+    fn lookups_of_unknown_ids_grow_no_slots() {
+        let mut edge = EdgeCache::new(4, 1_000);
+        edge.warm_app(3, payload(3));
+        assert_eq!(edge.slots(), 4);
+        for app in [4, 6_000, u32::MAX] {
+            assert_eq!(edge.lookup_app(app), None);
+        }
+        assert_eq!(edge.slots(), 4);
+        assert_eq!(edge.misses(), 3);
+    }
+
+    proptest! {
+        /// On any trace, the edge's hits, misses and evictions are what
+        /// the Fig. 19 LRU counts over the same capacity and warm set,
+        /// and every hit returns the page last admitted for that app.
+        #[test]
+        fn edge_counts_match_the_reference_lru(
+            capacity in 1usize..12,
+            warm in proptest::collection::vec(0u32..40, 0..12),
+            trace in proptest::collection::vec(0u32..40, 0..300),
+        ) {
+            let mut edge = EdgeCache::new(capacity, 1_000);
+            for &app in &warm {
+                edge.warm_app(app, payload(app as u8));
+            }
+            let mut evictions = 0u64;
+            for &app in &trace {
+                match edge.lookup_app(app) {
+                    Some(page) => prop_assert_eq!(page, payload(app as u8)),
+                    None => evictions += u64::from(edge.fill_app(app, payload(app as u8))),
+                }
+            }
+            let mut lru = Lru::new(capacity);
+            let events: Vec<DownloadEvent> = trace
+                .iter()
+                .map(|&app| DownloadEvent { user: UserId(0), app: AppId(app), day: Day(0) })
+                .collect();
+            let reference = hit_ratio(&mut lru, &warm, &events);
+            prop_assert_eq!(edge.hits(), reference.hits);
+            prop_assert_eq!(edge.misses(), reference.requests - reference.hits);
+            prop_assert_eq!(evictions, lru.evictions());
+        }
     }
 
     #[test]

@@ -17,12 +17,16 @@
 //! header is one append, integers go through a small integer writer
 //! instead of `fmt`, and a lookup scans its few lines.
 //!
-//! The serving connection and the replay client each read every head
-//! into one request or response they reuse, so a warm round trip
-//! allocates only the response's header text and the body the client
-//! reads. [`read_request`] and [`read_response`] run the same code into
-//! fresh buffers. A body that is already whole in the reader's buffer
-//! is copied once, from there into its [`Bytes`]. Heads over
+//! The serving connection reads every head into one request it reuses,
+//! and looks up the headers it acts on in one pass over their spans.
+//! The replay client reads every response into one `ClientResponse`:
+//! the pass that reads the head also picks out the status and the
+//! headers the client acts on, and the body is consumed without being
+//! copied, since the client never reads it. So a warm round trip
+//! allocates only the response's header text. [`read_request`] and
+//! [`read_response`] read into fresh buffers and keep bodies: a body
+//! that is already whole in the reader's buffer is copied once, from
+//! there into its [`Bytes`]. Heads over
 //! [`MAX_HEAD_BYTES`], bodies over [`MAX_BODY_BYTES`] and a
 //! `Content-Length` that does not parse are refused as `InvalidData`.
 //!
@@ -113,6 +117,19 @@ impl HttpRequest {
     /// Header value parsed as `u64`.
     pub fn header_u64(&self, name: &str) -> Option<u64> {
         self.header(name)?.parse().ok()
+    }
+
+    /// The values of several headers, found in one pass over the header
+    /// spans: entry `i` is what [`HttpRequest::header`] returns for
+    /// `names[i]`, the first of a repeated header.
+    pub(crate) fn header_values<const N: usize>(&self, names: [&str; N]) -> [Option<&str>; N] {
+        let mut values = [None; N];
+        for (key, value) in &self.headers {
+            if let Some(i) = header_index(&self.head.as_bytes()[key.clone()], &names) {
+                values[i].get_or_insert(&self.head[value.clone()]);
+            }
+        }
+        values
     }
 }
 
@@ -329,18 +346,108 @@ pub fn read_response(reader: &mut impl BufRead) -> io::Result<HttpResponse> {
     Ok(response)
 }
 
-/// [`read_response`] into a response whose header buffer is reused: the
-/// replay client reads every response into one. After an error,
-/// `response` holds no response worth reading.
+/// [`read_response`] into a response whose header buffer is reused.
+/// After an error, `response` holds no response worth reading.
 pub(crate) fn read_response_into(
     reader: &mut impl BufRead,
     response: &mut HttpResponse,
 ) -> io::Result<()> {
-    let mut length = None;
-    let read = read_head(reader, &mut response.headers, |name, (_, value)| {
-        if length.is_none() && name.eq_ignore_ascii_case(b"content-length") {
-            length = Some(value);
+    let (status, length) = read_response_head(reader, &mut response.headers, |_, _| {})?;
+    response.status = status;
+    // What stays is the header lines, exactly as received.
+    let text = &response.headers;
+    let shift = find_byte(text.as_bytes(), b'\n').map_or(text.len(), |at| at + 1);
+    response.headers.drain(..shift);
+    response.body = read_body(reader, length)?;
+    Ok(())
+}
+
+/// The headers a [`ClientResponse`] picks out, in the order of its spans.
+const CLIENT_HEADERS: [&str; 4] = ["x-virtual-ms", "x-retry-after-ms", "x-degraded", "x-source"];
+
+/// A response as the replay client reads it: its status and the headers
+/// the client acts on, found in the pass that reads the head. The body
+/// is consumed, not kept. One is reused for every response of a replay.
+#[derive(Debug, Default)]
+pub(crate) struct ClientResponse {
+    /// Status line and header lines, as received.
+    head: String,
+    /// Status code.
+    pub(crate) status: u16,
+    /// Where the value of each of [`CLIENT_HEADERS`] sits in `head`.
+    spans: [Option<Range<usize>>; 4],
+}
+
+impl ClientResponse {
+    fn value(&self, header: usize) -> Option<&str> {
+        self.spans[header].clone().map(|span| &self.head[span])
+    }
+
+    /// `X-Virtual-Ms`, parsed.
+    pub(crate) fn virtual_ms(&self) -> Option<u64> {
+        self.value(0)?.parse().ok()
+    }
+
+    /// `X-Retry-After-Ms`, parsed.
+    pub(crate) fn retry_after_ms(&self) -> Option<u64> {
+        self.value(1)?.parse().ok()
+    }
+
+    /// `X-Degraded`.
+    pub(crate) fn degraded(&self) -> Option<&str> {
+        self.value(2)
+    }
+
+    /// `X-Source`.
+    pub(crate) fn source(&self) -> Option<&str> {
+        self.value(3)
+    }
+}
+
+/// Which of `names` the header name `name` is, case-insensitively.
+fn header_index(name: &[u8], names: &[&str]) -> Option<usize> {
+    names
+        .iter()
+        .position(|known| name.eq_ignore_ascii_case(known.as_bytes()))
+}
+
+/// Reads one response into `response`: the pass that reads the head
+/// also takes the status, `Content-Length` and the client's headers (as
+/// with [`HttpResponse::header`], the first of a repeated header
+/// counts); then the body is consumed without being copied. Refuses
+/// what [`read_response`] refuses. After an error, `response` holds no
+/// response worth reading.
+pub(crate) fn read_client_response(
+    reader: &mut impl BufRead,
+    response: &mut ClientResponse,
+) -> io::Result<()> {
+    let spans = &mut response.spans;
+    *spans = Default::default();
+    let (status, length) = read_response_head(reader, &mut response.head, |name, (_, value)| {
+        if let Some(i) = header_index(name, &CLIENT_HEADERS) {
+            spans[i].get_or_insert(value);
         }
+    })?;
+    response.status = status;
+    skip_body(reader, length)
+}
+
+/// Reads a response head into `head`, reusing its buffer, and parses
+/// its status and `Content-Length`; `on_header` sees each header as
+/// [`read_head`] hands it over. A missing `Content-Length` is an empty
+/// body; one that does not parse is refused, since its body would be
+/// read as the next head, and so is one over [`MAX_BODY_BYTES`].
+fn read_response_head(
+    reader: &mut impl BufRead,
+    head: &mut String,
+    mut on_header: impl FnMut(&[u8], HeaderSpan),
+) -> io::Result<(u16, usize)> {
+    let mut length = None;
+    let read = read_head(reader, head, |name, span| {
+        if length.is_none() && name.eq_ignore_ascii_case(b"content-length") {
+            length = Some(span.1.clone());
+        }
+        on_header(name, span);
     })?;
     let Some(line_end) = read else {
         return Err(io::Error::new(
@@ -348,16 +455,13 @@ pub(crate) fn read_response_into(
             "connection closed before response",
         ));
     };
-    let text = &response.headers;
-    let line = &text.as_bytes()[..line_end];
-    response.status = token(line, 0)
+    let line = &head.as_bytes()[..line_end];
+    let status = token(line, 0)
         .and_then(|version| token(line, version.end))
-        .and_then(|code| text[code].parse::<u16>().ok())
+        .and_then(|code| head[code].parse::<u16>().ok())
         .ok_or_else(|| malformed("status line"))?;
-    // A missing Content-Length is an empty body; one that does not
-    // parse is refused, since its body would be read as the next head.
     let length: usize = match length {
-        Some(value) => text[value]
+        Some(value) => head[value]
             .parse()
             .map_err(|_| malformed("Content-Length"))?,
         None => 0,
@@ -368,10 +472,24 @@ pub(crate) fn read_response_into(
             format!("Content-Length {length} over the {MAX_BODY_BYTES}-byte limit"),
         ));
     }
-    // What stays is the header lines, exactly as received.
-    let shift = find_byte(text.as_bytes(), b'\n').map_or(text.len(), |at| at + 1);
-    response.headers.drain(..shift);
-    response.body = read_body(reader, length)?;
+    Ok((status, length))
+}
+
+/// Consumes a `length`-byte body without copying it. Like
+/// [`read_body`], an empty body never asks the reader for bytes.
+fn skip_body(reader: &mut impl BufRead, mut length: usize) -> io::Result<()> {
+    while length > 0 {
+        let available = reader.fill_buf()?.len();
+        if available == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed inside a body",
+            ));
+        }
+        let step = available.min(length);
+        reader.consume(step);
+        length -= step;
+    }
     Ok(())
 }
 
@@ -721,10 +839,121 @@ mod tests {
             let mut wire =
                 format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\nhello").into_bytes();
             HttpResponse::new(404).write_to(&mut wire).unwrap();
-            let mut reader = wire.as_slice();
-            let error = read_response(&mut reader).unwrap_err();
+            let error = read_response(&mut wire.as_slice()).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{length:?}");
+            let error = read_client_response(&mut wire.as_slice(), &mut ClientResponse::default())
+                .unwrap_err();
             assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{length:?}");
         }
+    }
+
+    /// The client's view of a response, read the way the replay client
+    /// reads it.
+    type ClientView = (
+        u16,
+        Option<u64>,
+        Option<u64>,
+        Option<String>,
+        Option<String>,
+    );
+
+    fn client_view(response: &ClientResponse) -> ClientView {
+        (
+            response.status,
+            response.virtual_ms(),
+            response.retry_after_ms(),
+            response.degraded().map(str::to_string),
+            response.source().map(str::to_string),
+        )
+    }
+
+    /// The same view through the public reader's header lookups.
+    fn kept_view(response: &HttpResponse) -> ClientView {
+        (
+            response.status,
+            response.header_u64("x-virtual-ms"),
+            response.header_u64("x-retry-after-ms"),
+            response.header("x-degraded").map(str::to_string),
+            response.header("x-source").map(str::to_string),
+        )
+    }
+
+    #[test]
+    fn client_reads_see_what_the_public_reader_sees_and_stay_in_step() {
+        let mut wire = pipelined_responses();
+        for response in [
+            HttpResponse::new(503)
+                .with_header("X-Degraded", "breaker-open")
+                .with_header("Retry-After", 2u64)
+                .with_header("X-Retry-After-Ms", 1_500u64)
+                .with_header("X-Virtual-Ms", 81u64),
+            HttpResponse::new(200)
+                .with_header("x-source", "edge")
+                .with_header("X-Source", "backing")
+                .with_header("X-VIRTUAL-MS", "7x")
+                .with_body("y".repeat(40)),
+        ] {
+            response.write_to(&mut wire).unwrap();
+        }
+        let expected: Vec<ClientView> = {
+            let mut reader = wire.as_slice();
+            (0..6)
+                .map(|_| kept_view(&read_response(&mut reader).unwrap()))
+                .collect()
+        };
+        assert_eq!(expected[4].3.as_deref(), Some("breaker-open"));
+        assert_eq!(
+            expected[5].4.as_deref(),
+            Some("edge"),
+            "the first one counts"
+        );
+        for capacity in [1, 7, 13, IO_BUFFER_BYTES] {
+            let mut reader = BufReader::with_capacity(capacity, wire.as_slice());
+            let mut response = ClientResponse::default();
+            for (i, expected) in expected.iter().enumerate() {
+                read_client_response(&mut reader, &mut response).unwrap();
+                assert_eq!(
+                    &client_view(&response),
+                    expected,
+                    "capacity {capacity}, #{i}"
+                );
+            }
+            let error = read_client_response(&mut reader, &mut response).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof);
+        }
+    }
+
+    #[test]
+    fn client_reads_refuse_short_and_oversized_bodies() {
+        let mut response = ClientResponse::default();
+        let short_body = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nabc";
+        let error = read_client_response(&mut &short_body[..], &mut response).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof);
+        let claims = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        let error = read_client_response(&mut claims.as_bytes(), &mut response).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(read_client_response(&mut &b"HTTP/1.1 OK\r\n\r\n"[..], &mut response).is_err());
+    }
+
+    #[test]
+    fn one_pass_header_values_match_each_lookup() {
+        let raw = b"GET /app?id=1 HTTP/1.1\r\nx-now-ms: 5\r\nX-Client: 7\r\n\
+            X-NOW-MS: 6\r\nX-Trace-Id: 12\r\nX-Parent-Span: client-12\r\n\r\n";
+        let request = read_request(&mut &raw[..]).unwrap().unwrap();
+        let names = [
+            "X-Now-Ms",
+            "x-deadline-ms",
+            "x-client",
+            "x-trace-id",
+            "X-PARENT-SPAN",
+        ];
+        let values = request.header_values(names);
+        assert_eq!(values, names.map(|name| request.header(name)));
+        assert_eq!(values[0], Some("5"), "the first of a repeated header");
+        assert_eq!(values[1], None);
     }
 
     #[test]

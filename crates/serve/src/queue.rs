@@ -6,9 +6,11 @@
 //! is shed and handed back to the caller, who owns the explicit 503.
 //!
 //! Admitted items leave in FIFO order; shedding never reorders or
-//! drops an admitted item.
+//! drops an admitted item. The depth is mirrored in an atomic that
+//! `push` and `pop` set under the lock, so reading it takes no lock.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 struct Inner<T> {
@@ -21,6 +23,8 @@ pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     ready: Condvar,
     capacity: usize,
+    /// `items.len()` as of the last push or pop.
+    len: AtomicUsize,
 }
 
 impl<T> BoundedQueue<T> {
@@ -33,6 +37,7 @@ impl<T> BoundedQueue<T> {
             }),
             ready: Condvar::new(),
             capacity,
+            len: AtomicUsize::new(0),
         }
     }
 
@@ -53,6 +58,7 @@ impl<T> BoundedQueue<T> {
             return Some(item);
         }
         inner.items.push_back(item);
+        self.len.store(inner.items.len(), Ordering::Relaxed);
         drop(inner);
         self.ready.notify_one();
         None
@@ -64,6 +70,7 @@ impl<T> BoundedQueue<T> {
         let mut inner = self.state();
         loop {
             if let Some(item) = inner.items.pop_front() {
+                self.len.store(inner.items.len(), Ordering::Relaxed);
                 return Some(item);
             }
             if inner.closed {
@@ -83,9 +90,9 @@ impl<T> BoundedQueue<T> {
         self.ready.notify_all();
     }
 
-    /// Items currently queued.
+    /// Items currently queued, read without taking the lock.
     pub fn len(&self) -> usize {
-        self.state().items.len()
+        self.len.load(Ordering::Relaxed)
     }
 
     /// True when nothing is queued.

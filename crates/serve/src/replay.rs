@@ -30,7 +30,7 @@
 //! every completed request also feeds a [`SloMonitor`] grading
 //! availability and p99 objectives over rolling virtual-time windows.
 
-use crate::http::{decimal, read_response_into, HttpResponse, IO_BUFFER_BYTES};
+use crate::http::{decimal, read_client_response, ClientResponse, IO_BUFFER_BYTES};
 use crate::server::TRACE_SAMPLE_EVERY;
 use crate::slo::{SloMonitor, SloSummary};
 use appstore_core::backoff::{BackoffSchedule, RetryBudget};
@@ -267,31 +267,16 @@ fn send(stream: &mut TcpStream, wire: &mut Vec<u8>) -> io::Result<()> {
 
 /// Accounts one completed request: the client-side counters, the SLO
 /// monitor (if enabled, on the virtual clock the request was stamped
-/// with) and the client leg of its trace. One pass over the header
-/// lines picks out the resilience headers; as with
-/// [`HttpResponse::header`], the first of a repeated header counts.
+/// with) and the client leg of its trace.
 fn complete(
     stats: &mut ReplayStats,
     monitor: &mut Option<SloMonitor>,
     op: Op,
     trace_id: u64,
     sent_ms: u64,
-    response: &HttpResponse,
+    response: &ClientResponse,
 ) {
-    let (mut virtual_ms, mut degraded, mut source) = (None, None, None);
-    for (name, value) in response.headers() {
-        let seen = if name.eq_ignore_ascii_case("x-virtual-ms") {
-            &mut virtual_ms
-        } else if name.eq_ignore_ascii_case("x-degraded") {
-            &mut degraded
-        } else if name.eq_ignore_ascii_case("x-source") {
-            &mut source
-        } else {
-            continue;
-        };
-        seen.get_or_insert(value);
-    }
-    let virtual_ms = virtual_ms.and_then(|value| value.parse::<u64>().ok());
+    let (virtual_ms, degraded) = (response.virtual_ms(), response.degraded());
     if let Some(latency) = virtual_ms {
         stats.latencies_virtual_ms.push(latency);
     }
@@ -302,7 +287,7 @@ fn complete(
         200 => match op {
             Op::App { .. } => {
                 stats.app_ok += 1;
-                if source == Some("edge") {
+                if response.source() == Some("edge") {
                     stats.app_edge_hits += 1;
                 } else {
                     stats.app_backing += 1;
@@ -389,7 +374,7 @@ pub fn replay(
     // The request bytes, the response head and the batch ledgers are
     // reused for the whole replay.
     let mut wire = Vec::with_capacity(IO_BUFFER_BYTES);
-    let mut response = HttpResponse::new(0);
+    let mut response = ClientResponse::default();
     let mut pending = Vec::with_capacity(config.batch.max(1));
     let mut retry_queue = Vec::new();
 
@@ -408,10 +393,10 @@ pub fn replay(
         // after the batch is fully drained (a mid-batch resend would
         // interleave with responses still in flight).
         for (op, sent_ms, trace_id) in pending.drain(..) {
-            read_response_into(&mut reader, &mut response)?;
+            read_client_response(&mut reader, &mut response)?;
             complete(&mut stats, &mut monitor, op, trace_id, sent_ms, &response);
             if retryable(response.status) {
-                let hinted = response.header_u64("x-retry-after-ms").unwrap_or(0);
+                let hinted = response.retry_after_ms().unwrap_or(0);
                 retry_queue.push((op, response.status, hinted));
             }
         }
@@ -432,10 +417,10 @@ pub fn replay(
                 send(&mut stream, &mut wire)?;
                 stats.requests_sent += 1;
                 stats.retries += 1;
-                read_response_into(&mut reader, &mut response)?;
+                read_client_response(&mut reader, &mut response)?;
                 complete(&mut stats, &mut monitor, op, trace_id, clock_ms, &response);
                 status = response.status;
-                hinted = response.header_u64("x-retry-after-ms").unwrap_or(0);
+                hinted = response.retry_after_ms().unwrap_or(0);
                 attempt += 1;
             }
             if retryable(status) {

@@ -19,13 +19,14 @@
 //!
 //! Encoded payloads come from a [`PageTable`] the whole tier shares:
 //! every replica serves the same immutable dataset, so each page is
-//! encoded on the tier's first fetch of it and reused after that.
+//! encoded on the tier's first fetch of it and reused after that. The
+//! table keeps pages in slots indexed by day and app id, not in a hash
+//! map.
 
 use appstore_core::{Dataset, Day, Seed};
 use appstore_crawler::wire::{decode_response, encode_response};
 use appstore_crawler::{MarketplaceServer, Region, Request, Response, ServerPolicy, WireError};
 use bytes::Bytes;
-use std::collections::HashMap;
 
 /// 64-bit FNV-1a over a byte slice: the tier's content fingerprint.
 /// Zero-dependency and stable across platforms, so fingerprints can be
@@ -47,12 +48,26 @@ pub fn fingerprint64(bytes: &[u8]) -> u64 {
 /// the tier never fetches is never encoded. Admission, liveness and
 /// drift still run on every call; only the encoding is kept.
 ///
+/// Pages sit in slots: per day, one for the rankings page and one per
+/// app id. Only a page the backing store produced grows the slots, so
+/// an unknown app or day sizes nothing. Comments pages, which the tier
+/// never sends, are fetched without being kept.
+///
 /// The table lives in the serving tier, not in [`MarketplaceServer`]:
 /// the crawler reads each page about once a day, where a table would
 /// only hold memory.
 #[derive(Debug, Default)]
 pub struct PageTable {
-    pages: HashMap<Request, Bytes>,
+    /// Indexed by day number.
+    days: Vec<DayPages>,
+}
+
+/// One day's kept pages.
+#[derive(Debug, Default)]
+struct DayPages {
+    rankings: Option<Bytes>,
+    /// Indexed by app id.
+    apps: Vec<Option<Bytes>>,
 }
 
 impl PageTable {
@@ -64,18 +79,67 @@ impl PageTable {
         server: &MarketplaceServer<'_>,
         request: Request,
     ) -> Result<Bytes, WireError> {
-        if let Some(page) = self.pages.get(&request) {
+        if let Some(page) = self.kept(request) {
             return Ok(page.clone());
         }
         let page = server.peek(request)?;
-        self.pages.insert(request, page.clone());
+        if let Some(slot) = self.slot(request) {
+            *slot = Some(page.clone());
+        }
         Ok(page)
+    }
+
+    /// The page kept for `request`, if any.
+    fn kept(&self, request: Request) -> Option<&Bytes> {
+        match request {
+            Request::Index { day } => self.days.get(day.0 as usize)?.rankings.as_ref(),
+            Request::AppPage { app, day } => self
+                .days
+                .get(day.0 as usize)?
+                .apps
+                .get(app.0 as usize)?
+                .as_ref(),
+            Request::CommentsPage { .. } => None,
+        }
+    }
+
+    /// The slot `request`'s page is kept in, grown to fit; `None` for a
+    /// page that is not kept.
+    fn slot(&mut self, request: Request) -> Option<&mut Option<Bytes>> {
+        let (day, app) = match request {
+            Request::Index { day } => (day, None),
+            Request::AppPage { app, day } => (day, Some(app.0 as usize)),
+            Request::CommentsPage { .. } => return None,
+        };
+        let day = day.0 as usize;
+        if self.days.len() <= day {
+            self.days.resize_with(day + 1, DayPages::default);
+        }
+        let pages = &mut self.days[day];
+        Some(match app {
+            None => &mut pages.rankings,
+            Some(app) => {
+                if pages.apps.len() <= app {
+                    pages.apps.resize(app + 1, None);
+                }
+                &mut pages.apps[app]
+            }
+        })
     }
 
     /// Pages encoded so far.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.pages.len()
+        self.days
+            .iter()
+            .map(|day| usize::from(day.rankings.is_some()) + day.apps.iter().flatten().count())
+            .sum()
+    }
+
+    /// Slots allocated so far, kept pages or not.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.days.iter().map(|day| 1 + day.apps.len()).sum()
     }
 }
 
@@ -315,6 +379,20 @@ mod tests {
         assert_eq!(drifted, r.rankings_payload(Day(0), &mut pages).unwrap());
         r.clear_drift();
         assert_eq!(clean, r.rankings_payload(Day(0), &mut pages).unwrap());
+    }
+
+    #[test]
+    fn comments_pages_are_fetched_but_not_kept() {
+        let dataset = test_dataset(8);
+        let r = replica(&dataset);
+        let mut pages = PageTable::default();
+        let comments = Request::CommentsPage {
+            day: Day(0),
+            page: 0,
+        };
+        let fetched = r.peek_authoritative(comments, &mut pages);
+        assert_eq!(fetched, r.server.peek(comments));
+        assert_eq!((pages.len(), pages.slots()), (0, 0));
     }
 
     #[test]

@@ -50,7 +50,7 @@ use appstore_core::faults::{self, FaultKind};
 use appstore_core::{Dataset, Day, Seed};
 use appstore_crawler::wire::encode_response;
 use appstore_crawler::{Request, Response, ServerPolicy};
-use appstore_obs::{names, FlightRecorder, Registry};
+use appstore_obs::{names, FlightRecorder, Registry, Update};
 use bytes::Bytes;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -246,17 +246,43 @@ impl<'a> Shared<'a> {
     }
 }
 
+/// The request headers the handler acts on, looked up in one pass over
+/// the header spans.
+struct Stamps {
+    now_ms: Option<u64>,
+    deadline_ms: Option<u64>,
+    client: Option<u64>,
+    trace_id: Option<u64>,
+}
+
+impl Stamps {
+    fn read(request: &HttpRequest) -> Stamps {
+        let [now_ms, deadline_ms, client, trace_id] = request
+            .header_values(["x-now-ms", "x-deadline-ms", "x-client", "x-trace-id"])
+            .map(|value| value?.parse().ok());
+        Stamps {
+            now_ms,
+            deadline_ms,
+            client,
+            trace_id,
+        }
+    }
+}
+
 /// What a traced request saw at each tier, gathered while handling and
 /// rendered post-hoc as span args and stage instants. The degradation
 /// reason and the burned budget also classify the finished response,
-/// so the server never reads its own headers back. Nothing here feeds
-/// a resilience decision.
+/// so the server never reads its own headers back, and the edge's
+/// verdict and eviction go into the request's metrics record. Nothing
+/// here feeds a resilience decision.
 #[derive(Debug, Default)]
 struct TraceNotes {
     /// Accept-queue depth when the handler picked the request up.
     queue_depth: u64,
     /// Edge-cache verdict (`hit` / `miss` / `fresh` / `stale` / `missing`).
     edge: Option<&'static str>,
+    /// Whether admitting the fetched app page evicted another.
+    evicted: bool,
     /// Backing-fetch verdict (`ok` / `open` / `failed` / ...).
     backing: Option<&'static str>,
     /// The `X-Degraded` reason the response carries, if any.
@@ -404,7 +430,7 @@ fn app_page(
         },
     ) {
         Ok(payload) => {
-            lock(&shared.edge).fill_app(app, payload.clone());
+            notes.evicted = lock(&shared.edge).fill_app(app, payload.clone());
             HttpResponse::new(200)
                 .with_header("X-Source", "backing")
                 .with_body(payload)
@@ -463,16 +489,16 @@ fn download(
 fn handle_request(
     shared: &Shared<'_>,
     request: &HttpRequest,
+    stamps: &Stamps,
     index: u64,
     now_ms: u64,
     notes: &mut TraceNotes,
 ) -> HttpResponse {
-    let budget = request
-        .header_u64("x-deadline-ms")
-        .unwrap_or(shared.config.deadline_ms);
+    let budget = stamps.deadline_ms.unwrap_or(shared.config.deadline_ms);
     let mut deadline = Deadline::new(budget);
     notes.deadline_budget_ms = budget;
-    let response = route_request(shared, request, index, now_ms, &mut deadline, notes);
+    let client = stamps.client.unwrap_or(0) as u32;
+    let response = route_request(shared, request, client, index, now_ms, &mut deadline, notes);
     notes.deadline_burned_ms = deadline.charged_ms();
     finalize(response, &deadline)
 }
@@ -480,9 +506,11 @@ fn handle_request(
 /// The routing body of [`handle_request`], separated so the deadline
 /// is charged and stamped (and the trace notes closed out) in exactly
 /// one place regardless of which arm produced the response.
+#[allow(clippy::too_many_arguments)]
 fn route_request(
     shared: &Shared<'_>,
     request: &HttpRequest,
+    client: u32,
     index: u64,
     now_ms: u64,
     deadline: &mut Deadline,
@@ -508,7 +536,6 @@ fn route_request(
     if request.method() != "GET" {
         return HttpResponse::new(400);
     }
-    let client = request.header_u64("x-client").unwrap_or(0) as u32;
     match request.path.as_str() {
         "/rankings" => rankings(shared, now_ms, index, deadline, notes),
         "/app" => app_page(shared, request, client, now_ms, index, deadline, notes),
@@ -716,53 +743,91 @@ fn trace_request(
     });
 }
 
+/// The edge counter an edge verdict bumps: app-page lookups count hits
+/// and misses, rankings verdicts count nothing.
+fn edge_counter(verdict: Option<&str>) -> Option<&'static str> {
+    match verdict {
+        Some("hit") => Some(names::SERVE_EDGE_HITS),
+        Some("miss") => Some(names::SERVE_EDGE_MISSES),
+        _ => None,
+    }
+}
+
+/// Records a finished request's counters that apply (each a `+1`) and
+/// its four latency observations, in one `record` call.
+fn record_request(counters: [Option<&'static str>; 4], observations: [Update<'static>; 4]) {
+    let mut updates = [observations[0]; 8];
+    let mut len = 0;
+    let counters = counters.into_iter().flatten();
+    for update in counters
+        .map(|name| Update::Counter(name, 1))
+        .chain(observations)
+    {
+        updates[len] = update;
+        len += 1;
+    }
+    appstore_obs::record(&updates[..len]);
+}
+
 /// Panic-isolated request dispatch plus response classification.
+/// `serve.requests` is counted when the request starts, so a `/metrics`
+/// scrape counts itself; everything else the request records goes into
+/// one `record` call once the response is built.
 fn guarded_handle(shared: &Shared<'_>, request: &HttpRequest) -> HttpResponse {
     let started = Instant::now();
     let index = shared.request_index.fetch_add(1, Ordering::SeqCst);
     appstore_obs::counter(names::SERVE_REQUESTS, 1);
-    let now_ms = request
-        .header_u64("x-now-ms")
+    let stamps = Stamps::read(request);
+    let now_ms = stamps
+        .now_ms
         .unwrap_or_else(|| shared.fallback_clock_ms.fetch_add(1, Ordering::SeqCst));
     shared.last_now_ms.fetch_max(now_ms, Ordering::SeqCst);
     let queue_depth = shared.queue.len() as u64;
+    let fresh_notes = || TraceNotes {
+        queue_depth,
+        ..TraceNotes::default()
+    };
+    let mut notes = fresh_notes();
     let handled = catch_unwind(AssertUnwindSafe(|| {
-        let mut notes = TraceNotes {
-            queue_depth,
-            ..TraceNotes::default()
-        };
-        let response = handle_request(shared, request, index, now_ms, &mut notes);
-        (response, notes)
+        handle_request(shared, request, &stamps, index, now_ms, &mut notes)
     }));
-    let (response, notes, panicked) = match handled {
-        Ok((response, notes)) => (response, notes, false),
+    // An edge verdict reached before a panic still counts.
+    let (edge, evicted) = (edge_counter(notes.edge), notes.evicted);
+    let (response, panicked) = match handled {
+        Ok(response) => (response, false),
         Err(_) => {
             shared.panics_caught.fetch_add(1, Ordering::SeqCst);
-            appstore_obs::counter(names::SERVE_PANICS_CAUGHT, 1);
-            let mut notes = TraceNotes {
-                queue_depth,
-                ..TraceNotes::default()
-            };
+            notes = fresh_notes();
             let response = degrade(HttpResponse::new(500), "panic", &mut notes)
                 .with_header("X-Virtual-Ms", 0u64);
-            (response, notes, true)
+            (response, true)
         }
     };
     let degraded = notes.degraded;
-    match (response.status, degraded) {
-        (200, None) => appstore_obs::counter(names::SERVE_RESPONSES_FRESH, 1),
-        (200, Some(_)) => appstore_obs::counter(names::SERVE_RESPONSES_STALE, 1),
-        (503 | 504, _) => appstore_obs::counter(names::SERVE_RESPONSES_SHED, 1),
-        _ => {}
-    }
+    let outcome = match (response.status, degraded) {
+        (200, None) => Some(names::SERVE_RESPONSES_FRESH),
+        (200, Some(_)) => Some(names::SERVE_RESPONSES_STALE),
+        (503 | 504, _) => Some(names::SERVE_RESPONSES_SHED),
+        _ => None,
+    };
     let virtual_ms = notes.deadline_burned_ms;
     let (class_metric, class) = degradation_class(response.status, degraded);
-    appstore_obs::observe(names::SERVE_LATENCY_VIRTUAL_MS, virtual_ms);
-    appstore_obs::observe_hdr(route_metric(&request.path), virtual_ms);
-    appstore_obs::observe_hdr(class_metric, virtual_ms);
-    appstore_obs::observe_volatile(
-        names::SERVE_LATENCY_REAL_US,
-        started.elapsed().as_micros() as u64,
+    record_request(
+        [
+            edge,
+            evicted.then_some(names::SERVE_EDGE_EVICTIONS),
+            panicked.then_some(names::SERVE_PANICS_CAUGHT),
+            outcome,
+        ],
+        [
+            Update::Observe(names::SERVE_LATENCY_VIRTUAL_MS, virtual_ms),
+            Update::ObserveHdr(route_metric(&request.path), virtual_ms),
+            Update::ObserveHdr(class_metric, virtual_ms),
+            Update::ObserveVolatile(
+                names::SERVE_LATENCY_REAL_US,
+                started.elapsed().as_micros() as u64,
+            ),
+        ],
     );
     // Flight recorder: every degraded/error response leaves a breadcrumb
     // in the bounded ring; a caught panic additionally dumps the ring.
@@ -787,7 +852,7 @@ fn guarded_handle(shared: &Shared<'_>, request: &HttpRequest) -> HttpResponse {
     // request-path span when sampled or when anything went wrong. The
     // gate depends only on the trace id and the response, never on
     // timing, so the traced set is identical across thread counts.
-    if let Some(trace_id) = request.header_u64("x-trace-id") {
+    if let Some(trace_id) = stamps.trace_id {
         if trace_id.is_multiple_of(TRACE_SAMPLE_EVERY)
             || response.status >= 500
             || degraded.is_some()
@@ -1086,6 +1151,39 @@ mod tests {
                  X-Retry-After-Ms: 1000\r\nX-Virtual-Ms: 1\r\nContent-Length: 0\r\n\r\n"
             );
         });
+    }
+
+    #[test]
+    fn unknown_app_ids_answer_404_and_size_nothing() {
+        let dataset = test_dataset(6_000);
+        let config = ServeConfig {
+            replicas: 3,
+            ..test_config()
+        };
+        let shared = Shared::new(
+            &dataset,
+            config,
+            Arc::new(BoundedQueue::new(QUEUE_CAPACITY)),
+        );
+        let get = |target: &str| {
+            let raw = format!("GET {target} HTTP/1.1\r\nX-Client: 1\r\nX-Now-Ms: 0\r\n\r\n");
+            let request = crate::http::read_request(&mut raw.as_bytes())
+                .unwrap()
+                .unwrap();
+            guarded_handle(&shared, &request).status
+        };
+        assert_eq!(get("/app?id=5999"), 200);
+        let slots = || (lock(&shared.edge).slots(), lock(&shared.tier).page_slots());
+        let grown = slots();
+        assert_eq!(
+            grown,
+            (6_000, 6_001),
+            "app 5999 and the day's rankings slot"
+        );
+        for target in ["/app?id=6000", "/app?id=4294967295"] {
+            assert_eq!(get(target), 404, "{target}");
+        }
+        assert_eq!(slots(), grown);
     }
 
     #[test]

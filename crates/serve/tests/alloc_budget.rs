@@ -11,10 +11,12 @@
 //! `serve-clustering` benchmark at a test's size.
 //!
 //! A warm round trip allocates the response's header text on the
-//! server and the body the client reads; the download endpoint also
-//! formats its body. Before the request path reused its buffers, a warm
-//! 190,800-request `serve-clustering` replay measured 11.2 allocations
-//! per request, and this test's replay 11.17.
+//! server; the download endpoint also formats its body. The client
+//! reads each body without copying it. This test's replay measures 1.16
+//! allocations per request (4,900 over 4,240 requests); it measured
+//! 2.16 while the client copied every body, and 11.17 before the
+//! request path reused its buffers, when a warm 190,800-request
+//! `serve-clustering` replay measured 11.2.
 
 use appstore_core::{
     App, AppId, AppObservation, CategoryId, CategorySet, Cents, DailySnapshot, Dataset, Day,
@@ -28,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Most heap allocations one request may cost, server and client
 /// together.
-const BUDGET_PER_REQUEST: f64 = 3.0;
+const BUDGET_PER_REQUEST: f64 = 2.0;
 
 /// The system allocator, counting every allocation and reallocation.
 struct Counting;
