@@ -106,12 +106,8 @@ impl HttpRequest {
 
     /// Header value by (case-insensitive) name, trimmed.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(key, _)| {
-                self.head.as_bytes()[key.clone()].eq_ignore_ascii_case(name.as_bytes())
-            })
-            .map(|(_, value)| &self.head[value.clone()])
+        let [value] = self.header_values([name]);
+        value
     }
 
     /// Header value parsed as `u64`.
@@ -120,8 +116,9 @@ impl HttpRequest {
     }
 
     /// The values of several headers, found in one pass over the header
-    /// spans: entry `i` is what [`HttpRequest::header`] returns for
-    /// `names[i]`, the first of a repeated header.
+    /// spans: entry `i` is the value of header `names[i]`, matched
+    /// case-insensitively and trimmed; the first of a repeated header
+    /// counts.
     pub(crate) fn header_values<const N: usize>(&self, names: [&str; N]) -> [Option<&str>; N] {
         let mut values = [None; N];
         for (key, value) in &self.headers {
@@ -342,16 +339,6 @@ pub(crate) fn read_request_into(
 /// Reads one response (status line, headers, `Content-Length` body).
 pub fn read_response(reader: &mut impl BufRead) -> io::Result<HttpResponse> {
     let mut response = HttpResponse::new(0);
-    read_response_into(reader, &mut response)?;
-    Ok(response)
-}
-
-/// [`read_response`] into a response whose header buffer is reused.
-/// After an error, `response` holds no response worth reading.
-pub(crate) fn read_response_into(
-    reader: &mut impl BufRead,
-    response: &mut HttpResponse,
-) -> io::Result<()> {
     let (status, length) = read_response_head(reader, &mut response.headers, |_, _| {})?;
     response.status = status;
     // What stays is the header lines, exactly as received.
@@ -359,7 +346,7 @@ pub(crate) fn read_response_into(
     let shift = find_byte(text.as_bytes(), b'\n').map_or(text.len(), |at| at + 1);
     response.headers.drain(..shift);
     response.body = read_body(reader, length)?;
-    Ok(())
+    Ok(response)
 }
 
 /// The headers a [`ClientResponse`] picks out, in the order of its spans.
@@ -823,13 +810,6 @@ mod tests {
         for capacity in [1, 7, 13] {
             let small = read_four(&mut BufReader::with_capacity(capacity, wire.as_slice()));
             assert_eq!(small, whole, "capacity {capacity}");
-            // One reused response reads the same stream the same way.
-            let mut reader = BufReader::with_capacity(capacity, wire.as_slice());
-            let mut response = HttpResponse::new(0);
-            for expected in &whole {
-                read_response_into(&mut reader, &mut response).unwrap();
-                assert_eq!(&response, expected, "capacity {capacity}");
-            }
         }
     }
 
@@ -951,9 +931,11 @@ mod tests {
             "X-PARENT-SPAN",
         ];
         let values = request.header_values(names);
+        assert_eq!(
+            values,
+            [Some("5"), None, Some("7"), Some("12"), Some("client-12")]
+        );
         assert_eq!(values, names.map(|name| request.header(name)));
-        assert_eq!(values[0], Some("5"), "the first of a repeated header");
-        assert_eq!(values[1], None);
     }
 
     #[test]

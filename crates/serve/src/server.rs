@@ -506,7 +506,6 @@ fn handle_request(
 /// The routing body of [`handle_request`], separated so the deadline
 /// is charged and stamped (and the trace notes closed out) in exactly
 /// one place regardless of which arm produced the response.
-#[allow(clippy::too_many_arguments)]
 fn route_request(
     shared: &Shared<'_>,
     request: &HttpRequest,
