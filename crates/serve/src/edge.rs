@@ -5,11 +5,11 @@
 //! backing store by the serving layer. App pages live in an
 //! [`appstore_cache::Lru`] (unit-size objects, exactly the paper's
 //! Fig. 19 setup) with the encoded payload carried alongside in a slot
-//! indexed by app id, so a hit is served without hashing and without
-//! touching the backing store at all. Only an admitted page grows the
-//! slots, so a client-supplied id never sizes anything. The cache counts
-//! its own hits and misses; the server records them with the rest of a
-//! request's metrics. The rankings
+//! indexed by app id, so a hit's payload is found without hashing and
+//! served without touching the backing store at all. Only an admitted
+//! page grows the slots, so a client-supplied id never sizes anything.
+//! The cache counts its own hits and misses; the server records them
+//! with the rest of a request's metrics. The rankings
 //! page is a single hot object cached with a virtual-time TTL: within
 //! the TTL it is *fresh*; after the TTL it is *stale* but retained, so
 //! that when the backing store is tripped or slow the server can keep
