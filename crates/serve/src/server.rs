@@ -1073,6 +1073,34 @@ mod tests {
     }
 
     #[test]
+    fn an_edge_miss_before_a_panic_still_counts() {
+        let dataset = test_dataset(16);
+        // Request 1 misses the edge, then panics in the tier's fetch.
+        let plan = FaultPlan::seeded(6).rule(
+            SITE_SERVE_BACKING,
+            FaultKind::WorkerPanic,
+            FaultTrigger::AtIndex(1),
+        );
+        let injector = FaultInjector::new(plan);
+        let registry = Registry::new();
+        with_injector(&injector, || {
+            appstore_obs::with_registry(&registry, || {
+                with_server(&dataset, &test_config(), |handle| {
+                    assert_eq!(get(handle.addr(), "/app?id=9", 0).status, 200);
+                    assert_eq!(get(handle.addr(), "/app?id=10", 1).status, 500);
+                    assert_eq!(get(handle.addr(), "/app?id=9", 2).status, 200);
+                });
+            });
+        });
+        let count = |name| registry.counter_value(name);
+        assert_eq!(count(names::SERVE_REQUESTS), 3);
+        assert_eq!(count(names::SERVE_EDGE_MISSES), 2);
+        assert_eq!(count(names::SERVE_EDGE_HITS), 1);
+        assert_eq!(count(names::SERVE_PANICS_CAUGHT), 1);
+        assert_eq!(count(names::SERVE_RESPONSES_FRESH), 2);
+    }
+
+    #[test]
     fn deadline_budget_sheds_instead_of_serving_late() {
         let dataset = test_dataset(16);
         with_server(&dataset, &test_config(), |handle| {
