@@ -201,10 +201,11 @@ fn declared(name: &str, registry: Option<&Registry>) -> bool {
 /// context and one registry lock (a name's first record releases it for
 /// the declared-name guard). Each update records exactly what its
 /// one-call facade records ([`Update::Counter`] what [`counter`] does,
-/// and so on), and a volatile update flags its metric volatile. With a tracer installed,
-/// each recorded deterministic counter is also a timeline counter sample
-/// on the current track, in slice order; with a tracer but no registry,
-/// only those samples are recorded. With neither, this is a no-op.
+/// and so on), and a volatile update flags its metric volatile. With a
+/// tracer installed, each recorded deterministic counter is also a
+/// timeline counter sample on the current track, in slice order; with a
+/// tracer but no registry, only those samples are recorded. With
+/// neither, this is a no-op.
 pub fn record(updates: &[Update<'_>]) {
     CURRENT.with(|c| {
         let borrow = c.borrow();
