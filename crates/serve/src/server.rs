@@ -246,29 +246,6 @@ impl<'a> Shared<'a> {
     }
 }
 
-/// The request headers the handler acts on, looked up in one pass over
-/// the header spans.
-struct Stamps {
-    now_ms: Option<u64>,
-    deadline_ms: Option<u64>,
-    client: Option<u64>,
-    trace_id: Option<u64>,
-}
-
-impl Stamps {
-    fn read(request: &HttpRequest) -> Stamps {
-        let [now_ms, deadline_ms, client, trace_id] = request
-            .header_values(["x-now-ms", "x-deadline-ms", "x-client", "x-trace-id"])
-            .map(|value| value?.parse().ok());
-        Stamps {
-            now_ms,
-            deadline_ms,
-            client,
-            trace_id,
-        }
-    }
-}
-
 /// What a traced request saw at each tier, gathered while handling and
 /// rendered post-hoc as span args and stage instants. The degradation
 /// reason and the burned budget also classify the finished response,
@@ -485,19 +462,19 @@ fn download(
     }
 }
 
-/// Routes one request. Runs inside `catch_unwind`.
+/// Routes one request under a `budget_ms` deadline. Runs inside
+/// `catch_unwind`.
 fn handle_request(
     shared: &Shared<'_>,
     request: &HttpRequest,
-    stamps: &Stamps,
+    client: u32,
     index: u64,
     now_ms: u64,
+    budget_ms: u64,
     notes: &mut TraceNotes,
 ) -> HttpResponse {
-    let budget = stamps.deadline_ms.unwrap_or(shared.config.deadline_ms);
-    let mut deadline = Deadline::new(budget);
-    notes.deadline_budget_ms = budget;
-    let client = stamps.client.unwrap_or(0) as u32;
+    let mut deadline = Deadline::new(budget_ms);
+    notes.deadline_budget_ms = budget_ms;
     let response = route_request(shared, request, client, index, now_ms, &mut deadline, notes);
     notes.deadline_burned_ms = deadline.charged_ms();
     finalize(response, &deadline)
@@ -776,10 +753,13 @@ fn guarded_handle(shared: &Shared<'_>, request: &HttpRequest) -> HttpResponse {
     let started = Instant::now();
     let index = shared.request_index.fetch_add(1, Ordering::SeqCst);
     appstore_obs::counter(names::SERVE_REQUESTS, 1);
-    let stamps = Stamps::read(request);
-    let now_ms = stamps
-        .now_ms
-        .unwrap_or_else(|| shared.fallback_clock_ms.fetch_add(1, Ordering::SeqCst));
+    // The headers the handler acts on, found in one pass.
+    let [now_ms, deadline_ms, client, trace_id] = request
+        .header_values(["x-now-ms", "x-deadline-ms", "x-client", "x-trace-id"])
+        .map(|value| value?.parse::<u64>().ok());
+    let now_ms = now_ms.unwrap_or_else(|| shared.fallback_clock_ms.fetch_add(1, Ordering::SeqCst));
+    let budget_ms = deadline_ms.unwrap_or(shared.config.deadline_ms);
+    let client = client.unwrap_or(0) as u32;
     shared.last_now_ms.fetch_max(now_ms, Ordering::SeqCst);
     let queue_depth = shared.queue.len() as u64;
     let fresh_notes = || TraceNotes {
@@ -788,7 +768,9 @@ fn guarded_handle(shared: &Shared<'_>, request: &HttpRequest) -> HttpResponse {
     };
     let mut notes = fresh_notes();
     let handled = catch_unwind(AssertUnwindSafe(|| {
-        handle_request(shared, request, &stamps, index, now_ms, &mut notes)
+        handle_request(
+            shared, request, client, index, now_ms, budget_ms, &mut notes,
+        )
     }));
     // An edge verdict reached before a panic still counts.
     let (edge, evicted) = (edge_counter(notes.edge), notes.evicted);
@@ -851,7 +833,7 @@ fn guarded_handle(shared: &Shared<'_>, request: &HttpRequest) -> HttpResponse {
     // request-path span when sampled or when anything went wrong. The
     // gate depends only on the trace id and the response, never on
     // timing, so the traced set is identical across thread counts.
-    if let Some(trace_id) = stamps.trace_id {
+    if let Some(trace_id) = trace_id {
         if trace_id.is_multiple_of(TRACE_SAMPLE_EVERY)
             || response.status >= 500
             || degraded.is_some()
